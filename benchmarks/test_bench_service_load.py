@@ -1,4 +1,4 @@
-"""Benchmark — closed-loop load against the async service tier.
+"""Benchmark — closed-loop load against the HTTP service.
 
 Three phases, all against real HTTP sockets:
 
@@ -8,11 +8,11 @@ Three phases, all against real HTTP sockets:
   which is worker-placement-dependent by design).
 * **Load** — wrk-style closed-loop clients (threads, each firing its
   next request as soon as the previous response lands) drive mixed
-  evaluate/refine/mutate traffic at the async front-end backed by the
+  evaluate/refine/mutate traffic at the threaded front-end backed by the
   elastic pool; throughput and latency percentiles are recorded into
   ``BENCH_service_load.json`` via the ``bench_artifact`` fixture (and
   folded into the committed trajectory by ``scripts/collect_bench.py``).
-* **Saturation** — a tiny admission queue over a deliberately slow
+* **Saturation** — two admission slots over a deliberately slow
   executor: overflow must be refused with 429 + ``Retry-After`` while
   every admitted request still completes — saturation never stalls the
   client and never drops accepted work.
@@ -27,10 +27,11 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
-from repro.service import InlineExecutor, make_async_server
+from repro.service import make_server
 from repro.service.executor import BatchExecutor, create_executor
 
 NT = ('<http://l/a> <http://l/p> "1" .\n'
@@ -71,6 +72,19 @@ def _churn_batch():
     ]
 
 
+@contextmanager
+def _serving(executor, **kwargs):
+    """A threaded server over ``executor`` on an ephemeral port."""
+    server = make_server(executor=executor, **kwargs)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.close()
+        thread.join(timeout=5)
+
+
 def _strip_cached(envelope):
     return {k: v for k, v in envelope.items() if k != "cached"}
 
@@ -79,23 +93,13 @@ def _strip_cached(envelope):
 def test_bench_elastic_payloads_match_single_worker(benchmark):
     """1 worker vs N elastic workers under churn: bit-identical payloads."""
     batch = _churn_batch()
-    single = make_async_server(
-        executor=create_executor(workers=1, max_workers=1)
-    ).start()
-    try:
+    with _serving(create_executor(workers=1, max_workers=1)) as single:
         _, single_payload, _ = _post(single.url, "/v1/batch", {"requests": batch})
-    finally:
-        single.close()
 
     def elastic_run():
-        elastic = make_async_server(
-            executor=create_executor(workers=1, max_workers=3)
-        ).start()
-        try:
+        with _serving(create_executor(workers=1, max_workers=3)) as elastic:
             _, payload, _ = _post(elastic.url, "/v1/batch", {"requests": batch})
             return payload
-        finally:
-            elastic.close()
 
     elastic_payload = benchmark.pedantic(elastic_run, rounds=1, iterations=1)
     assert single_payload["ok"] and elastic_payload["ok"]
@@ -108,13 +112,9 @@ def test_bench_elastic_payloads_match_single_worker(benchmark):
 
 @pytest.mark.paper_artifact("service load story (not in the paper)")
 def test_bench_closed_loop_mixed_traffic(benchmark, bench_artifact, capsys):
-    """Closed-loop clients over the elastic async tier; record percentiles."""
+    """Closed-loop clients over the elastic pool; record percentiles."""
     clients = 4
     requests_per_client = 10
-    server = make_async_server(
-        executor=create_executor(workers=1, max_workers=3),
-        pending_limit=64, concurrency=4,
-    ).start()
     latencies_by_kind = {"evaluate": [], "refine": [], "mutate": []}
     lock = threading.Lock()
     failures = []
@@ -150,18 +150,16 @@ def test_bench_closed_loop_mixed_traffic(benchmark, bench_artifact, capsys):
         with ThreadPoolExecutor(max_workers=clients) as pool:
             list(pool.map(client_loop, range(clients)))
 
-    started = time.perf_counter()
-    benchmark.pedantic(run_load, rounds=1, iterations=1)
-    wall = time.perf_counter() - started
-    try:
+    with _serving(create_executor(workers=1, max_workers=3), pending_limit=64) as server:
+        started = time.perf_counter()
+        benchmark.pedantic(run_load, rounds=1, iterations=1)
+        wall = time.perf_counter() - started
         stats = json.loads(
             urllib.request.urlopen(server.url + "/v1/stats", timeout=10).read()
         )
         metrics = json.loads(
             urllib.request.urlopen(server.url + "/v1/metrics", timeout=10).read()
         )
-    finally:
-        server.close()
 
     assert not failures, failures
     total = sum(len(v) for v in latencies_by_kind.values())
@@ -186,7 +184,6 @@ def test_bench_closed_loop_mixed_traffic(benchmark, bench_artifact, capsys):
             "requests_per_client": requests_per_client,
             "min_workers": 1,
             "max_workers": 3,
-            "concurrency": 4,
             "pending_limit": 64,
         },
         "throughput_rps": round(total / wall, 2) if wall > 0 else None,
@@ -218,10 +215,7 @@ class _SlowExecutor(BatchExecutor):
 
 @pytest.mark.paper_artifact("service load story (not in the paper)")
 def test_bench_saturation_returns_429_without_dropping_accepted_work(benchmark):
-    server = make_async_server(
-        executor=_SlowExecutor(), pending_limit=2, concurrency=1, retry_after_s=2
-    ).start()
-    try:
+    with _serving(_SlowExecutor(), pending_limit=2) as server:
         body = {"dataset": EVAL_DATASET, "request": {"rule": "Cov"}}
 
         def flood():
@@ -238,12 +232,12 @@ def test_bench_saturation_returns_429_without_dropping_accepted_work(benchmark):
         by_status = {}
         for status, payload, headers in results:
             by_status.setdefault(status, []).append((payload, headers))
-        # Saturation is visible: the queue (depth 2) cannot admit 8
+        # Saturation is visible: two slots cannot admit 8
         # near-simultaneous requests, so some are refused immediately...
         assert 429 in by_status, sorted(by_status)
         for payload, headers in by_status[429]:
             assert payload["error"]["type"] == "ServiceOverloaded"
-            assert headers["Retry-After"] == "2"
+            assert headers["Retry-After"] == "1"
         # ... and every admitted request completes: accepted work is never
         # dropped, and nothing stalls (the flood returned within timeouts).
         assert 200 in by_status
@@ -256,5 +250,3 @@ def test_bench_saturation_returns_429_without_dropping_accepted_work(benchmark):
         assert stats["rejected"] == len(by_status[429])
         benchmark.extra_info["accepted"] = stats["accepted"]
         benchmark.extra_info["rejected"] = stats["rejected"]
-    finally:
-        server.close()

@@ -5,11 +5,10 @@ Starts ``repro serve`` as a real subprocess on an ephemeral port, drives
 it over HTTP the way a client would, and fails (non-zero exit) on any
 non-200 response or on payload drift against an in-process
 :class:`repro.service.InlineExecutor` answering the same requests.  The
-full drive runs twice — against the threaded server and against ``repro
-serve --async`` — and a third, shorter round checks the async front-end
-over an elastic ``--min-workers 1 --max-workers 2`` pool (admission
-section in ``/v1/stats``, elastic executor stats, batch determinism).
-CI runs this as its service job; locally::
+full drive runs against the inline server, and a second, shorter round
+checks an elastic ``--workers 1 --max-workers 2`` pool (admission section
+in ``/v1/stats``, elastic executor stats, batch determinism).  CI runs
+this as its service job; locally::
 
     PYTHONPATH=src python scripts/service_smoke.py
 """
@@ -233,7 +232,7 @@ def run_drive(base, label) -> None:
 
 
 def run_elastic_round(base) -> None:
-    """The async+elastic specifics: admission stats, elastic executor, batch."""
+    """The elastic-pool specifics: admission stats, elastic executor, batch."""
     from repro.service import InlineExecutor
 
     stats = call(base, "/v1/stats")
@@ -265,26 +264,19 @@ def main() -> int:
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     sys.path.insert(0, src)
 
-    rounds = [
-        ("threaded", ()),
-        ("async", ("--async",)),
-    ]
-    for label, extra_args in rounds:
-        server, base = _spawn_server(env, *extra_args)
-        try:
-            run_drive(base, label)
-        finally:
-            _stop_server(server)
+    server, base = _spawn_server(env)
+    try:
+        run_drive(base, "threaded")
+    finally:
+        _stop_server(server)
 
-    server, base = _spawn_server(
-        env, "--async", "--min-workers", "1", "--max-workers", "2"
-    )
+    server, base = _spawn_server(env, "--workers", "1", "--max-workers", "2")
     try:
         run_elastic_round(base)
     finally:
         _stop_server(server)
 
-    print("service smoke OK (threaded + async + elastic)")
+    print("service smoke OK (threaded + elastic)")
     return 0
 
 

@@ -76,7 +76,6 @@ _LAZY_EXPORTS = {
     "WatchSession": "repro.api",
     "WatchEvent": "repro.api",
     "InlineExecutor": "repro.service",
-    "PooledExecutor": "repro.service",
     "Telemetry": "repro.telemetry",
 }
 
@@ -98,7 +97,6 @@ __all__ = [
     "WatchSession",
     "WatchEvent",
     "InlineExecutor",
-    "PooledExecutor",
     "Telemetry",
 ]
 

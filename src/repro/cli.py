@@ -36,14 +36,15 @@ Run a JSONL batch through the service executor (4 worker processes)::
 
     repro batch jobs.jsonl --workers 4 --output results.jsonl
 
-Start the HTTP service (``--port 0`` picks an ephemeral port)::
+Start the HTTP service (``--port 0`` picks an ephemeral port) over a
+pool of 4 worker processes::
 
     repro serve --port 8080 --workers 4
 
-Start the asyncio front-end with admission control and elastic workers
-(autoscaling between 1 and 4 processes on queue depth)::
+Let the pool autoscale between 1 and 4 processes on queue depth, and
+answer 429 once 64 compute requests are pending::
 
-    repro serve --async --min-workers 1 --max-workers 4 --pending-limit 64
+    repro serve --workers 1 --max-workers 4 --pending-limit 64
 
 Watch structuredness live while replaying a JSONL mutation stream (see
 docs/observability.md)::
@@ -164,23 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--verbose", action="store_true", help="log every HTTP request")
     serve.add_argument(
-        "--async", dest="async_server", action="store_true",
-        help="serve with the asyncio front-end (admission control, 429 + "
-        "Retry-After on overflow, streaming batch/watch responses)",
-    )
-    serve.add_argument(
-        "--min-workers", type=int, default=None,
-        help="alias for --workers: the elastic pool's floor (implies --async "
-        "semantics for sizing; default: the --workers value)",
-    )
-    serve.add_argument(
         "--max-workers", type=int, default=None,
-        help="elastic pool ceiling: autoscale worker processes between the "
-        "floor and this on queue depth (requires a value above the floor)",
+        help="pool ceiling: autoscale worker processes between --workers and "
+        "this on queue depth (default: a fixed pool of --workers processes)",
     )
     serve.add_argument(
         "--pending-limit", type=int, default=64,
-        help="async front-end admission queue bound; requests beyond it get "
+        help="admitted compute requests at once; the next one gets "
         "429 + Retry-After (default 64)",
     )
 
@@ -504,55 +495,26 @@ def _render_snapshot_info(info, verb: str) -> str:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    workers = args.workers if args.min_workers is None else args.min_workers
-    if workers < 1:
-        raise SystemExit("serve: --workers/--min-workers must be >= 1")
-    if args.max_workers is not None and args.max_workers < workers:
+    if args.workers < 1:
+        raise SystemExit("serve: --workers must be >= 1")
+    if args.max_workers is not None and args.max_workers < args.workers:
         raise SystemExit(
-            f"serve: --max-workers ({args.max_workers}) must be >= the worker "
-            f"floor ({workers})"
+            f"serve: --max-workers ({args.max_workers}) must be >= --workers "
+            f"({args.workers})"
         )
-    if args.async_server:
-        from repro.service import serve_async
-
-        return serve_async(
-            host=args.host,
-            port=args.port,
-            workers=workers,
-            max_workers=args.max_workers,
-            solver_time_limit=args.time_limit,
-            verbose=args.verbose,
-            jobs=_parse_jobs_arg(args.jobs),
-            pending_limit=args.pending_limit,
-        )
-    if args.max_workers is not None and args.max_workers > workers:
-        from repro.service import create_executor, make_server
-
-        executor = create_executor(
-            workers=workers, solver_time_limit=args.time_limit,
-            jobs=_parse_jobs_arg(args.jobs), max_workers=args.max_workers,
-        )
-        server = make_server(
-            host=args.host, port=args.port, executor=executor, verbose=args.verbose
-        )
-        print(f"repro service listening on {server.url}", flush=True)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        finally:
-            server.server_close()
-            server.service.close()
-        return 0
+    if args.pending_limit < 1:
+        raise SystemExit("serve: --pending-limit must be >= 1")
     from repro.service import serve
 
     return serve(
         host=args.host,
         port=args.port,
-        workers=workers,
+        workers=args.workers,
         solver_time_limit=args.time_limit,
         verbose=args.verbose,
         jobs=_parse_jobs_arg(args.jobs),
+        max_workers=args.max_workers,
+        pending_limit=args.pending_limit,
     )
 
 

@@ -7,25 +7,21 @@ you can put traffic on, in three layers:
   requests and scalar-only result envelopes; every payload round-trips
   bit-identically through ``serialize → parse``.
 * **Batch execution** (:mod:`repro.service.executor`,
-  :mod:`repro.service.pool`) — :func:`plan_batch` groups requests by
+  :mod:`repro.service.elastic`) — :func:`plan_batch` groups requests by
   ``(dataset, rule, solver)`` so each group shares one session and its
   caches; :class:`InlineExecutor` runs groups in-process (the determinism
-  baseline), :class:`PooledExecutor` fans independent groups out over
-  long-lived worker processes, each holding a
+  baseline), :class:`ElasticPoolExecutor` fans independent groups out
+  over long-lived worker processes, each holding a
   :class:`~repro.service.registry.DatasetRegistry` so dataset chains are
-  built once per worker.
-* **HTTP front-end** (:mod:`repro.service.server`,
-  :mod:`repro.service.async_server`) — a stdlib JSON API (``POST
-  /v1/evaluate|refine|lowest_k|sweep|mutate|batch``, ``GET
-  /v1/datasets``, ``GET /v1/stats``) exposed by ``repro serve``; batches
-  run through ``repro batch`` without a server.  ``repro serve --async``
-  swaps the threaded server for an asyncio front-end with the same
-  routes and envelopes plus request admission (bounded pending queue,
-  429 + ``Retry-After`` on overflow), per-dataset mutation routing and
-  backpressure-aware JSONL streaming; ``--max-workers`` above
-  ``--workers`` puts the :class:`ElasticPoolExecutor` behind either
-  server — worker processes that autoscale on queue depth, boot from
-  snapshot-backed specs and drain gracefully when idle.
+  built once per worker.  The pool has a fixed size (``--workers N``) or
+  autoscales on queue depth up to ``--max-workers``, booting from
+  snapshot-backed specs and draining gracefully when idle.
+* **HTTP front-end** (:mod:`repro.service.server`) — a stdlib threaded
+  JSON API (``POST /v1/evaluate|refine|lowest_k|sweep|mutate|batch|watch``,
+  ``GET /v1/datasets``, ``GET /v1/stats``, ``GET /v1/metrics``) exposed
+  by ``repro serve``, with request admission (bounded pending slots, 429
+  + ``Retry-After`` on overflow) and streamed JSONL batch responses;
+  batches run through ``repro batch`` without a server.
 
 Datasets are mutable in place: a ``mutate`` request applies a triple
 delta, incrementally patches the matrix/signature chain (bit-identical
@@ -51,9 +47,7 @@ from repro.service.executor import (
     create_executor,
     plan_batch,
 )
-from repro.service.async_server import AsyncServiceServer, make_async_server, serve_async
 from repro.service.elastic import ElasticPoolExecutor
-from repro.service.pool import PooledExecutor
 from repro.service.registry import DatasetRegistry, DatasetSpec
 from repro.service.server import StructurednessService, make_server, serve
 from repro.service.wire import (
@@ -73,7 +67,6 @@ __all__ = [
     "BatchExecutor",
     "BatchGroup",
     "InlineExecutor",
-    "PooledExecutor",
     "ElasticPoolExecutor",
     "create_executor",
     "plan_batch",
@@ -82,9 +75,6 @@ __all__ = [
     "StructurednessService",
     "make_server",
     "serve",
-    "AsyncServiceServer",
-    "make_async_server",
-    "serve_async",
     "OPS",
     "MUTATING_OPS",
     "ServiceRequest",

@@ -1,11 +1,18 @@
-"""An elastic multiprocessing worker pool: autoscaling on queue depth.
+"""The multiprocessing worker pool: fixed-size or autoscaling on queue depth.
 
-:class:`ElasticPoolExecutor` serves the same contract as
-:class:`~repro.service.pool.PooledExecutor` — batch groups fan out over
-long-lived worker processes, each holding an
-:class:`~repro.service.executor.InlineExecutor` (and through it a
-:class:`~repro.service.registry.DatasetRegistry` plus a session cache) —
-but the worker count is *elastic*: a scaler thread watches the backlog of
+:class:`ElasticPoolExecutor` fans batch groups out over long-lived worker
+processes.  Each worker holds one
+:class:`~repro.service.executor.InlineExecutor` — and through it a
+:class:`~repro.service.registry.DatasetRegistry` plus a session cache —
+kept for the worker's lifetime.  A job is one batch *group* (requests
+sharing a dataset, rule and solver); the graph → matrix → signature-table
+chain for a dataset is therefore built at most once per worker, and jobs
+only ship scalar data across the process boundary: wire dicts out,
+result envelopes back.
+
+The worker count lies between ``min_workers`` and ``max_workers``; with
+the two equal (``repro serve --workers N``) the pool is a fixed-size
+pool.  Above the floor, a scaler thread watches the backlog of
 unfinished jobs and
 
 * **scales up** towards ``max_workers`` whenever jobs are queued faster
@@ -18,17 +25,39 @@ unfinished jobs and
 Elasticity is practical because worker boot is nearly free when dataset
 specs are snapshot-backed: a fresh worker's registry reopens the
 persisted artifact chain via ``{"snapshot": path}`` specs in ~0.1 s
-instead of re-parsing and rebuilding (the PR 5 warm start), so spawning
-for a traffic burst and draining afterwards costs almost nothing.
+instead of re-parsing and rebuilding, so spawning for a traffic burst and
+draining afterwards costs almost nothing.
 
-Determinism: workers are anonymous and pull jobs off one shared queue,
-so the same ordered *mutation log* scheme as the fixed pool applies —
-every job ships the ``(seq, wire dict)`` history and a worker replays the
-entries it has not folded yet before touching the job (the shared
-:func:`repro.service.pool._apply_job` helper).  A worker booted
-mid-traffic therefore converges on exactly the state every older worker
-has, and payloads stay bit-identical to inline execution whichever — and
-however many — workers served them.
+Determinism: a group always runs in submission order inside one worker's
+session, exactly as :class:`InlineExecutor` runs it in-process, so pooled
+payloads are bit-identical to inline payloads — only wall-clock changes.
+
+Mutations: the executor keeps an ordered *mutation log* (one entry per
+graph-changing ``mutate`` request).  Workers are anonymous and pull jobs
+off one shared queue — a job cannot be addressed to a specific process —
+so instead of broadcasting eagerly, every job ships the ``(seq, wire
+dict)`` history and a worker replays the entries it has not folded yet
+before touching the job (:func:`_apply_job`).  Dataset state in a worker
+is therefore always the fold of the same mutation sequence the inline
+executor applied, whichever — and however many — workers served it, and
+a worker booted mid-traffic converges before it takes work.
+
+Deliberate trade-off: the full log ships with every job (the executor
+cannot know which entries a given worker still needs), making per-job
+overhead linear in the number of mutations applied over the pool's
+lifetime.  Mutations are the rare operation in this workload and a log
+entry is a small wire dict; a mutation-heavy deployment should recycle
+the executor periodically or shard datasets across executors.
+
+Known corner of the bit-identity invariant: the ``cached`` flag (only)
+of a refinement repeated *within one batch* across a **no-op** mutation
+of its own dataset is worker-placement-dependent — the repeat lands in
+a later wave whose job may reach a worker with a cold session cache,
+while the inline executor's single warm session reports ``cached:
+true`` (a graph-changing mutation invalidates both sides identically,
+so only no-op mutations expose this).  Every other payload field stays
+bit-identical; exact parity here needs addressable workers (consistent
+group→worker routing), which one shared job queue cannot express.
 
 Scale events are counted in the executor's always-on
 :class:`~repro.telemetry.Telemetry` (``scale.up`` / ``scale.down`` /
@@ -39,26 +68,75 @@ over ``GET /v1/metrics``.
 :meth:`close` is graceful by construction: drain sentinels queue
 *behind* any in-flight jobs, so accepted work completes before the
 workers exit; only workers that overrun ``drain_timeout`` are escalated
-to ``terminate()``.
+to ``terminate()`` (counted as ``scale.forced_terminations``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import threading
 import time
 from concurrent.futures import Future
 from typing import Dict, List, Optional, Tuple
 
 from repro.service.executor import BatchExecutor, BatchGroup, InlineExecutor
-from repro.service.pool import _apply_job
-from repro.service.wire import ServiceRequest
+from repro.service.wire import ServiceRequest, parse_request
 from repro.telemetry import Telemetry, current as current_telemetry
 
 __all__ = ["ElasticPoolExecutor"]
 
 #: Sentinel a worker interprets as "finish the current job, then exit".
 _DRAIN = None
+
+
+def _apply_job(
+    executor: InlineExecutor, applied_seq: int, payload: Dict[str, object]
+) -> Tuple[List[Dict[str, object]], int]:
+    """Catch up on the mutation log, then run one group on ``executor``.
+
+    ``payload`` carries the group's wire dicts plus the mutation log as
+    ``(seq, wire dict)`` pairs; entries with a sequence number beyond
+    ``applied_seq`` are replayed into the executor's registry (their
+    envelopes are discarded — the phase that originated a mutation
+    already produced its envelope).  ``payload["applied_seq"]`` marks the
+    group itself as a mutation so the executing worker does not replay it
+    again later: replaying a remove-then-insert of the same triple twice
+    would count spurious changes and skew the generation counter.
+
+    Returns ``(result envelopes, new applied_seq)``.
+    """
+    for seq, mutation in payload.get("mutations", ()):
+        if seq > applied_seq:
+            [replayed] = executor.run_group([parse_request(mutation)])
+            if not replayed.get("ok"):
+                # Only environmental failures can land here (the original
+                # mutation succeeded elsewhere, and validated mutations are
+                # total): fail the job loudly rather than skip the entry —
+                # a worker that silently misses a mutation would serve
+                # diverging answers forever.
+                raise RuntimeError(
+                    f"pool worker failed to replay mutation #{seq}: "
+                    f"{replayed.get('error')}"
+                )
+            applied_seq = seq
+    results = executor.run_group([parse_request(d) for d in payload["requests"]])
+    applied = payload.get("applied_seq")
+    if applied is not None:
+        applied_seq = max(applied_seq, applied)
+    return results, applied_seq
+
+
+def _has_exited(process: multiprocessing.Process) -> bool:
+    """Whether ``process`` has exited, whichever thread reaped it.
+
+    ``is_alive()`` cannot answer this while another thread joins the same
+    process (the collector joins every drained worker): when that thread's
+    ``waitpid`` reaps the child first, this thread's fails with ECHILD and
+    ``is_alive()`` reports the finished worker as running.  The sentinel
+    pipe becomes readable once the child exits, whoever reaps it.
+    """
+    return bool(multiprocessing.connection.wait([process.sentinel], timeout=0))
 
 
 def _elastic_worker_main(
@@ -69,13 +147,20 @@ def _elastic_worker_main(
 
     Exceptions never escape a job — they come back as ``("error", job_id,
     message)`` tuples so the parent can resolve the job's future instead
-    of hanging on a silently dead worker.
+    of hanging on a silently dead worker.  A parent that dies without
+    draining (SIGTERM, SIGKILL) ends the worker too: the worker closes its
+    inherited copy of the job queue's write end, so with the parent gone
+    no writer is left and ``get()`` raises instead of blocking forever.
     """
+    inbound._writer.close()
     executor = InlineExecutor(solver_time_limit=solver_time_limit, jobs=jobs)
     applied_seq = 0
     outbound.put(("ready", worker_id, None))
     while True:
-        item = inbound.get()
+        try:
+            item = inbound.get()
+        except (EOFError, OSError):  # the parent is gone
+            return
         if item is _DRAIN:
             outbound.put(("drained", worker_id, None))
             return
@@ -96,7 +181,8 @@ class ElasticPoolExecutor(BatchExecutor):
         The floor: the pool never drains below this many workers (booted
         lazily on first use).
     max_workers:
-        The ceiling the scaler may grow to under backlog.
+        The ceiling the scaler may grow to under backlog; equal to
+        ``min_workers`` for a fixed-size pool (no scaler thread runs).
     solver_time_limit:
         Forwarded to every worker's session construction.
     start_method:
@@ -149,8 +235,11 @@ class ElasticPoolExecutor(BatchExecutor):
         self.telemetry = Telemetry(enabled=True)
         # Guards every piece of mutable pool state below.
         self._lock = threading.Lock()
-        # Serialises whole mutations (seq allocation → apply → log append),
-        # exactly as in PooledExecutor: the log must grow in sequence order.
+        # Serialises whole mutations (seq allocation → worker apply → log
+        # append).  Without it, two concurrent mutations could append to
+        # the log in completion order rather than sequence order, and a
+        # worker that replays the higher sequence first would skip the
+        # lower one forever — workers would silently diverge.
         self._mutation_lock = threading.Lock()
         self._mutation_log: List[Tuple[int, Dict[str, object]]] = []
         self._mutation_seq = 0
@@ -188,10 +277,11 @@ class ElasticPoolExecutor(BatchExecutor):
                 target=self._collect, name="elastic-collector", daemon=True
             )
             self._collector.start()
-            self._scaler = threading.Thread(
-                target=self._autoscale, name="elastic-scaler", daemon=True
-            )
-            self._scaler.start()
+            if self.max_workers > self.min_workers:
+                self._scaler = threading.Thread(
+                    target=self._autoscale, name="elastic-scaler", daemon=True
+                )
+                self._scaler.start()
             for _ in range(self.min_workers):
                 self._spawn_locked()
 
@@ -305,10 +395,12 @@ class ElasticPoolExecutor(BatchExecutor):
     def _execute_mutation(self, request: ServiceRequest) -> Dict[str, object]:
         """Run a mutation on one worker and append it to the shared log.
 
-        Identical to the fixed pool: the executing worker catches up on the
-        prior log, applies the mutation, marks it applied; every other
-        worker — including any booted later — replays it from the log
-        before its next job.  No-op mutations stay out of the log.
+        The executing worker catches up on the prior log, applies the
+        mutation, marks it applied; every other worker — including any
+        booted later — replays it from the log before its next job.
+        Failed mutations (e.g. a dataset with no graph stage) fail
+        identically in every process and no-op mutations leave every
+        copy unchanged, so neither enters the log.
         """
         self._ensure_started()
         with self._mutation_lock:
@@ -377,7 +469,7 @@ class ElasticPoolExecutor(BatchExecutor):
         for process in workers:
             process.join(timeout=max(0.0, deadline - time.monotonic()))
         for process in workers:
-            if process.is_alive():
+            if not _has_exited(process):
                 self.telemetry.incr("scale.forced_terminations")
                 current_telemetry().incr("pool.forced_terminations")
                 process.terminate()

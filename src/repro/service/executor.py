@@ -11,7 +11,7 @@ ones warmed).
 
 :class:`InlineExecutor` runs every group in the calling process; it is the
 determinism baseline and the per-worker engine of the multiprocess pool in
-:mod:`repro.service.pool`.  Both return one result envelope per request,
+:mod:`repro.service.elastic`.  Both return one result envelope per request,
 in the original submission order, regardless of grouping.
 """
 
@@ -161,7 +161,7 @@ class BatchExecutor:
 
         The default runs it like any other (one-element) group; executors
         with distributed state override this to propagate the mutation to
-        every copy of the dataset (see ``PooledExecutor``).
+        every copy of the dataset (see ``ElasticPoolExecutor``).
         """
         group = BatchGroup(key=request.group_key, indices=[0], requests=[request])
         return self._execute_groups([group])[0][0]
@@ -277,34 +277,21 @@ def create_executor(
 ) -> BatchExecutor:
     """An executor sized to ``workers``: inline for 1, a process pool above.
 
+    The pool is :class:`repro.service.elastic.ElasticPoolExecutor` with
+    ``workers`` as its floor and ``max_workers`` (default: ``workers``)
+    as its ceiling — a fixed-size pool unless ``max_workers`` is larger,
+    in which case worker processes autoscale on queue depth, boot from
+    snapshot-backed dataset specs and drain gracefully when idle.
+
     A shared ``registry`` only makes sense in-process; pool workers build
-    their own, so passing one together with ``workers > 1`` is an error
-    rather than a silent no-op.  ``jobs`` is each session's (or pool
-    worker's) intra-query parallelism budget — with a pool, every worker
-    gets the same budget, so total concurrency is ``workers × jobs``.
-
-    ``max_workers`` (when given and greater than ``workers``) selects the
-    *elastic* pool instead: worker processes autoscale between ``workers``
-    and ``max_workers`` on queue depth, booting from snapshot-backed
-    dataset specs and draining gracefully when idle (see
-    :class:`repro.service.elastic.ElasticPoolExecutor`).
+    their own, so passing one together with a pool is an error rather
+    than a silent no-op.  ``jobs`` is each session's (or pool worker's)
+    intra-query parallelism budget — with a pool, every worker gets the
+    same budget, so total concurrency is ``workers × jobs``.
     """
-    if max_workers is not None and max_workers > max(workers, 1):
-        if registry is not None:
-            raise ValueError(
-                "a shared DatasetRegistry applies only to inline execution; "
-                "elastic pool workers each hold their own registry"
-            )
-        from repro.service.elastic import ElasticPoolExecutor
-
-        return ElasticPoolExecutor(
-            min_workers=max(workers, 1),
-            max_workers=max_workers,
-            solver_time_limit=solver_time_limit,
-            start_method=start_method,
-            jobs=jobs,
-        )
-    if workers <= 1:
+    floor = max(workers, 1)
+    ceiling = max(floor, max_workers or floor)
+    if ceiling == 1:
         return InlineExecutor(
             registry=registry, solver_time_limit=solver_time_limit, jobs=jobs
         )
@@ -313,10 +300,11 @@ def create_executor(
             "a shared DatasetRegistry applies only to inline execution (workers=1); "
             "pool workers each hold their own registry"
         )
-    from repro.service.pool import PooledExecutor
+    from repro.service.elastic import ElasticPoolExecutor
 
-    return PooledExecutor(
-        workers=workers,
+    return ElasticPoolExecutor(
+        min_workers=floor,
+        max_workers=ceiling,
         solver_time_limit=solver_time_limit,
         start_method=start_method,
         jobs=jobs,

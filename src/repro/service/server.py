@@ -17,7 +17,10 @@ Routes (all payloads JSON):
   datasets are not serialised behind it).
 * ``POST /v1/batch`` — ``{"requests": [...]}`` or a JSONL body
   (``Content-Type: application/x-ndjson``); responds with
-  ``{"results": [one envelope per request, in order]}``.
+  ``{"results": [one envelope per request, in order]}``.  With ``Accept:
+  application/x-ndjson`` the envelopes stream instead, one JSON line each
+  as the executor's waves resolve, and the connection closes to mark the
+  end; the writes block on a slow client, which pauses the compute.
 * ``GET /v1/datasets`` — built-in dataset names plus everything the
   server's registry has materialised (inline mode; with ``--workers > 1``
   the datasets live inside pool workers, so ``loaded`` stays empty).
@@ -46,12 +49,24 @@ envelope's top level, so the deterministic ``result`` payloads stay
 bit-identical across transports.  4xx/5xx responses are counted in the
 service telemetry even when the access log is quiet (``--verbose`` off).
 
+Admission control: the compute routes (``POST /v1/batch`` and the op
+routes) share ``pending_limit`` slots.  A request that finds them all
+taken is refused at once with ``429`` + ``Retry-After: 1`` and a
+``ServiceOverloaded`` envelope — overload is never queued without bound,
+and an admitted request always runs to completion.  ``GET`` routes and
+``/v1/watch`` bypass admission, so the service stays observable while
+saturated; ``/v1/stats`` and ``/v1/metrics`` report the ``admission``
+counters.
+
 Malformed requests (unknown op/rule/dataset/solver, out-of-range θ or k)
 map to structured ``400`` bodies via :func:`repro.service.wire.error_result`
-— never a traceback; unexpected failures map to ``500`` with the same
-shape.  The server is a ``ThreadingHTTPServer``: the locks on ``Dataset``
-and ``StructurednessSession`` make concurrent requests against shared
-sessions safe.
+— never a traceback; a ``Content-Length`` that is not a non-negative
+integer is a ``400``, one above 64 MiB a ``413``, a ``Transfer-Encoding``
+body a ``411``; unexpected failures map to ``500`` with the same shape.
+The server is a ``ThreadingHTTPServer``: the locks on ``Dataset`` and
+``StructurednessSession`` make concurrent requests against shared
+sessions safe; with the inline executor, mutations of different datasets
+run concurrently.
 """
 
 from __future__ import annotations
@@ -61,7 +76,7 @@ import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro import __version__
 from repro.api.dataset import builtin_dataset_names
@@ -75,11 +90,22 @@ __all__ = ["StructurednessService", "ServiceServer", "make_server", "serve"]
 
 _JSON = "application/json"
 _NDJSON = "application/x-ndjson"
+#: Upper bound on accepted request bodies (inline N-Triples datasets are
+#: the legitimate large payload; 64 MiB is far above every test corpus).
+_MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
-class _UnsupportedTransferEncoding(RequestError):
-    """A request body arrived with a Transfer-Encoding the server cannot
-    decode (maps to ``411 Length Required`` instead of the generic 400)."""
+class _BodyError(Exception):
+    """A request body the server cannot read; carries its HTTP status.
+
+    The body's framing is unknown (a bad ``Content-Length``, a
+    ``Transfer-Encoding``) or it was left unread (too large), so the
+    response also closes the connection.
+    """
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class StructurednessService:
@@ -87,11 +113,19 @@ class StructurednessService:
 
     def __init__(self, executor: Optional[BatchExecutor] = None, workers: int = 1,
                  solver_time_limit: Optional[float] = None,
-                 jobs: Optional[object] = None):
+                 jobs: Optional[object] = None, pending_limit: int = 64):
+        if pending_limit < 1:
+            raise ValueError(f"pending_limit must be >= 1, got {pending_limit}")
         self.executor = executor if executor is not None else create_executor(
             workers=workers, solver_time_limit=solver_time_limit, jobs=jobs
         )
         self._lock = threading.Lock()
+        #: Admission control: one slot per admitted-but-unfinished compute
+        #: request.  Acquired without blocking, so a full set of slots
+        #: refuses the request instead of queueing it.
+        self.pending_limit = pending_limit
+        self._slots = threading.BoundedSemaphore(pending_limit)
+        self._admission = {"pending": 0, "peak_pending": 0, "accepted": 0, "rejected": 0}
         self.counters: Dict[str, int] = {
             "http_requests": 0,
             "ok_responses": 0,
@@ -108,6 +142,30 @@ class StructurednessService:
         with self._lock:
             self.counters["http_requests"] += 1
             self.counters["ok_responses" if ok else "error_responses"] += 1
+
+    def admit(self) -> bool:
+        """Take a compute slot; False (counted as rejected) when none is free."""
+        admitted = self._slots.acquire(blocking=False)
+        with self._lock:
+            counts = self._admission
+            if admitted:
+                counts["pending"] += 1
+                counts["accepted"] += 1
+                counts["peak_pending"] = max(counts["peak_pending"], counts["pending"])
+            else:
+                counts["rejected"] += 1
+        return admitted
+
+    def release(self) -> None:
+        """Return the slot an :meth:`admit` call took."""
+        with self._lock:
+            self._admission["pending"] -= 1
+        self._slots.release()
+
+    def admission_snapshot(self) -> Dict[str, int]:
+        """The admission counters served in ``/v1/stats`` and ``/v1/metrics``."""
+        with self._lock:
+            return dict(self._admission, pending_limit=self.pending_limit)
 
     def next_request_id(self) -> str:
         """A fresh, monotonically increasing per-server request id."""
@@ -128,25 +186,30 @@ class StructurednessService:
         status = 200 if envelope.get("ok") else int(envelope.get("status", 500))
         return status, envelope
 
-    def handle_batch(self, body: object, ndjson: bool = False) -> Tuple[int, Dict[str, object]]:
-        """A whole batch; per-request failures stay inside their envelope.
+    @staticmethod
+    def batch_requests(body: object, ndjson: bool = False) -> list:
+        """The raw request list of a batch body (JSONL text or a JSON object).
 
         Both spellings have identical semantics: a request that fails to
-        parse (one NDJSON line, one list element) yields an error envelope
-        in its slot — it never poisons the rest of the batch.
+        parse (one NDJSON line, one list element) later yields an error
+        envelope in its slot — it never poisons the rest of the batch.
+        Raises :class:`~repro.exceptions.RequestError` for a body that is
+        not a batch at all.
         """
+        if ndjson:
+            text = body if isinstance(body, str) else ""
+            return [
+                line for line in (raw.strip() for raw in text.splitlines())
+                if line and not line.startswith("#")
+            ]
+        if not isinstance(body, dict) or not isinstance(body.get("requests"), list):
+            raise RequestError("a batch body must be {'requests': [...]} or JSONL")
+        return list(body["requests"])
+
+    def handle_batch(self, body: object, ndjson: bool = False) -> Tuple[int, Dict[str, object]]:
+        """A whole batch; per-request failures stay inside their envelope."""
         try:
-            if ndjson:
-                text = body if isinstance(body, str) else ""
-                requests: list = [
-                    line for line in (raw.strip() for raw in text.splitlines())
-                    if line and not line.startswith("#")
-                ]
-            else:
-                if not isinstance(body, dict) or not isinstance(body.get("requests"), list):
-                    raise RequestError("a batch body must be {'requests': [...]} or JSONL")
-                requests = list(body["requests"])
-            envelopes = self.executor.execute(requests)
+            envelopes = self.executor.execute(self.batch_requests(body, ndjson))
         except ReproError as error:
             return 400, error_result(error)
         return 200, {"ok": True, "count": len(envelopes), "results": envelopes}
@@ -163,15 +226,20 @@ class StructurednessService:
         return 200, payload
 
     def handle_stats(self) -> Tuple[int, Dict[str, object]]:
-        """``GET /v1/stats``: HTTP counters plus the executor's stats."""
+        """``GET /v1/stats``: HTTP and admission counters plus the executor's stats."""
         with self._lock:
             server_counters = dict(self.counters)
-        return 200, {"server": server_counters, "executor": self.executor.stats()}
+        return 200, {
+            "server": server_counters,
+            "admission": self.admission_snapshot(),
+            "executor": self.executor.stats(),
+        }
 
     def handle_metrics(self) -> Tuple[int, Dict[str, object]]:
         """``GET /v1/metrics``: the observability spine as deterministic JSON.
 
-        ``server`` holds the legacy request counters, ``service`` the
+        ``server`` holds the legacy request counters, ``admission`` the
+        admission counters, ``service`` the
         always-on service telemetry snapshot and ``process`` the
         process-wide :func:`repro.telemetry.current` spine (disabled and
         empty unless ``REPRO_TRACE`` is set or a library caller enabled
@@ -182,6 +250,7 @@ class StructurednessService:
             server_counters = dict(self.counters)
         payload: Dict[str, object] = {
             "server": server_counters,
+            "admission": self.admission_snapshot(),
             "service": self.telemetry.snapshot(),
             "process": current_telemetry().snapshot(),
         }
@@ -295,7 +364,10 @@ class _Handler(BaseHTTPRequestHandler):
             request_id = getattr(self, "_request_id", "-")
             super().log_message(f"[{request_id}] {format}", *args)
 
-    def _respond(self, status: int, payload: Dict[str, object]) -> None:
+    def _respond(
+        self, status: int, payload: Dict[str, object],
+        headers: Tuple[Tuple[str, str], ...] = (),
+    ) -> None:
         request_id = getattr(self, "_request_id", None) or self.service.next_request_id()
         started = getattr(self, "_started", None)
         elapsed_ms = (
@@ -308,6 +380,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", _JSON)
         self.send_header("Content-Length", str(len(body)))
         self.send_header("X-Request-Id", request_id)
+        for name, value in headers:
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
         self.service._count(200 <= status < 400)
@@ -321,11 +395,21 @@ class _Handler(BaseHTTPRequestHandler):
         # 'dataset' spec" 400.  Name the unsupported encoding instead.
         encoding = (self.headers.get("Transfer-Encoding") or "").strip().lower()
         if encoding:
-            raise _UnsupportedTransferEncoding(
+            raise _BodyError(
+                411,
                 f"Transfer-Encoding {encoding!r} is not supported; "
-                "send the body with a Content-Length header"
+                "send the body with a Content-Length header",
             )
-        length = int(self.headers.get("Content-Length") or 0)
+        text = (self.headers.get("Content-Length") or "0").strip()
+        # isdigit() alone would pass non-ASCII digits that int() rejects;
+        # int() alone would pass "-1" (a read until EOF) and "1_0".
+        if not (text.isascii() and text.isdigit()):
+            raise _BodyError(400, f"Content-Length must be a non-negative integer, got {text!r}")
+        length = int(text)
+        if length > _MAX_BODY_BYTES:
+            raise _BodyError(
+                413, f"request body of {length} bytes exceeds the {_MAX_BODY_BYTES}-byte limit"
+            )
         return self.rfile.read(length) if length else b""
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
@@ -344,34 +428,42 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
         self._begin_request()
         try:
+            # The body is read before any answer, 429 included: an unread
+            # body would be parsed as the next request on a keep-alive
+            # connection.
             raw = self._read_body()
-            content_type = (self.headers.get("Content-Type") or _JSON).split(";")[0].strip()
-            ndjson = content_type in (_NDJSON, "application/jsonl", "text/plain")
-            if not self.path.startswith("/v1/"):
-                self._respond(
-                    404, {"ok": False, "error": {"type": "NotFound", "message": self.path}}
-                )
-                return
-            route = self.path[len("/v1/"):]
-            if route == "batch":
-                body = raw.decode("utf-8") if ndjson else json.loads(raw or b"{}")
-                self._respond(*self.service.handle_batch(body, ndjson=ndjson))
-            elif route == "watch":
-                body = json.loads(raw or b"{}")
-                self._stream_watch(body)
-            elif route in OPS:
-                body = json.loads(raw or b"{}")
-                if not isinstance(body, dict):
-                    raise RequestError("the request body must be a JSON object")
-                self._respond(*self.service.handle_op(route, body))
+            route = self.path[len("/v1/"):] if self.path.startswith("/v1/") else ""
+            if route == "watch":
+                self._stream_watch(json.loads(raw or b"{}"))
+            elif route == "batch" or route in OPS:
+                if not self.service.admit():
+                    self._respond(429, {
+                        "ok": False,
+                        "status": 429,
+                        "error": {
+                            "type": "ServiceOverloaded",
+                            "message": (
+                                f"all {self.service.pending_limit} request slots are "
+                                "busy; retry after 1s"
+                            ),
+                        },
+                    }, headers=(("Retry-After", "1"),))
+                    return
+                try:
+                    self._compute(route, raw)
+                finally:
+                    self.service.release()
             else:
                 self._respond(
                     404, {"ok": False, "error": {"type": "NotFound", "message": self.path}}
                 )
-        except json.JSONDecodeError as error:
+        except (json.JSONDecodeError, UnicodeDecodeError) as error:
             self._respond(400, error_result(RequestError(f"body is not valid JSON: {error}")))
-        except _UnsupportedTransferEncoding as error:
-            self._respond(411, dict(error_result(error), status=411))
+        except _BodyError as error:
+            self.close_connection = True
+            self._respond(
+                error.status, dict(error_result(RequestError(str(error))), status=error.status)
+            )
         except ReproError as error:
             self._respond(400, error_result(error))
         except Exception as error:  # pragma: no cover - defensive 500
@@ -383,38 +475,45 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             self._respond(500, error_result(error))
 
+    def _compute(self, route: str, raw: bytes) -> None:
+        """An admitted compute route: ``/v1/batch`` or one op."""
+        content_type = (self.headers.get("Content-Type") or _JSON).split(";")[0].strip()
+        ndjson = content_type in (_NDJSON, "application/jsonl", "text/plain")
+        if route == "batch":
+            body = raw.decode("utf-8") if ndjson else json.loads(raw or b"{}")
+            if _NDJSON in (self.headers.get("Accept") or ""):
+                requests = self.service.batch_requests(body, ndjson)  # RequestError -> 400
+                self._stream(self.service.executor.execute_stream(requests), "batch")
+            else:
+                self._respond(*self.service.handle_batch(body, ndjson=ndjson))
+            return
+        body = json.loads(raw or b"{}")
+        if not isinstance(body, dict):
+            raise RequestError("the request body must be a JSON object")
+        self._respond(*self.service.handle_op(route, body))
+
     def _stream_watch(self, body: object) -> None:
         """``POST /v1/watch``: stream JSONL WatchEvents until done.
 
-        The response has no Content-Length — the connection closes when
-        ``max_events`` events were streamed or ``duration_s`` elapsed,
-        which is how JSONL consumers detect the end.  Heartbeat lines
-        keep the stream visibly alive between mutations.  Setup errors
-        (bad body, pooled executor) surface as normal 400 envelopes
-        before any streaming starts; a failure *after* the headers went
-        out is framed as a terminal ``{"kind": "error", ...}`` JSONL line
-        (the HTTP status is already on the wire, so a 500 envelope would
-        corrupt the response) and the connection closes.
+        The stream ends when ``max_events`` events were streamed or
+        ``duration_s`` elapsed.  Heartbeat lines keep the stream visibly
+        alive between mutations.  Setup errors (bad body, pooled executor)
+        surface as normal 400 envelopes before any streaming starts.
         """
         watch, params = self.service.watch_session(body)  # ReproError -> 400 upstream
-        request_id = self._request_id
+        self.service.telemetry.incr("watch.streams")
+        self._stream(self._watch_events(watch, params), "watch")
+
+    def _watch_events(self, watch, params: Dict[str, float]) -> Iterator[Dict[str, object]]:
+        """The event lines of one watch stream; closes the watch when done."""
         telemetry = self.service.telemetry
-        telemetry.incr("watch.streams")
-        self._response_started = True
-        self.send_response(200)
-        self.send_header("Content-Type", _NDJSON)
-        self.send_header("X-Request-Id", request_id)
-        self.send_header("Connection", "close")
-        self.end_headers()
-        self.close_connection = True
         deadline = time.monotonic() + params["duration_s"]
         last_line = time.monotonic()
         sent = 0
-        ok = True
         try:
             while time.monotonic() < deadline:
                 for event in watch.poll():
-                    self._write_event(event, request_id)
+                    yield dict(event.to_dict(), request_id=self._request_id)
                     telemetry.incr("watch.events_streamed")
                     sent += 1
                     last_line = time.monotonic()
@@ -422,34 +521,56 @@ class _Handler(BaseHTTPRequestHandler):
                         return
                 now = time.monotonic()
                 if now - last_line >= params["heartbeat_s"]:
-                    self._write_event(watch.heartbeat(), request_id)
+                    yield dict(watch.heartbeat().to_dict(), request_id=self._request_id)
                     last_line = now
                 time.sleep(min(params["poll_interval_s"], max(0.0, deadline - now)))
-        except (BrokenPipeError, ConnectionResetError):  # client hangup
-            ok = False
-            telemetry.incr("watch.client_disconnects")
-        except Exception as error:
-            # Mid-stream failure (e.g. a poll raising): emit a terminal
-            # error line in the JSONL framing and let the close mark EOF.
-            ok = False
-            telemetry.incr("watch.stream_errors")
-            try:
-                line = json.dumps(
-                    dict(error_result(error), kind="error", request_id=request_id),
-                    sort_keys=True,
-                ) + "\n"
-                self.wfile.write(line.encode("utf-8"))
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError, OSError):
-                pass
         finally:
             watch.close()
+
+    def _stream(self, lines: Iterator[Dict[str, object]], kind: str) -> None:
+        """Send a 200 JSONL response, one line per item of ``lines``.
+
+        The response has no Content-Length: the connection closes when
+        ``lines`` is exhausted, which is how JSONL consumers detect the
+        end.  Every line is a blocking write, so a slow reader pauses
+        whatever produces ``lines``.  A failure *after* the headers went
+        out is framed as a terminal ``{"kind": "error", ...}`` line (the
+        HTTP status is already on the wire, so a 500 envelope would
+        corrupt the response); ``kind`` names the telemetry counters
+        (``<kind>.client_disconnects``, ``<kind>.stream_errors``).
+        """
+        telemetry = self.service.telemetry
+        self._response_started = True
+        self.send_response(200)
+        self.send_header("Content-Type", _NDJSON)
+        self.send_header("X-Request-Id", self._request_id)
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.close_connection = True
+        ok = True
+        try:
+            for line in lines:
+                self._write_line(line)
+        except (BrokenPipeError, ConnectionResetError):  # client hangup
+            ok = False
+            telemetry.incr(f"{kind}.client_disconnects")
+        except Exception as error:
+            ok = False
+            telemetry.incr(f"{kind}.stream_errors")
+            try:
+                self._write_line(
+                    dict(error_result(error), kind="error", request_id=self._request_id)
+                )
+            except OSError:
+                pass
+        finally:
+            close = getattr(lines, "close", None)
+            if close is not None:
+                close()  # runs the producer's cleanup after a hangup
             self.service._count(ok)
 
-    def _write_event(self, event, request_id: str) -> None:
-        payload = dict(event.to_dict(), request_id=request_id)
-        line = json.dumps(payload, sort_keys=True) + "\n"
-        self.wfile.write(line.encode("utf-8"))
+    def _write_line(self, payload: Dict[str, object]) -> None:
+        self.wfile.write((json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
         self.wfile.flush()
 
 
@@ -485,16 +606,24 @@ def make_server(
     executor: Optional[BatchExecutor] = None,
     verbose: bool = False,
     jobs: Optional[object] = None,
+    max_workers: Optional[int] = None,
+    pending_limit: int = 64,
 ) -> ServiceServer:
     """Bind a service server (``port=0`` picks an ephemeral free port).
 
-    ``jobs`` sets each session's (or pool worker's) intra-query
-    parallelism budget; ``/v1/stats`` reports the resolved value.
+    ``workers``/``max_workers`` size the executor exactly as
+    :func:`repro.service.executor.create_executor` does (ignored when an
+    ``executor`` is passed).  ``jobs`` sets each session's (or pool
+    worker's) intra-query parallelism budget; ``/v1/stats`` reports the
+    resolved value.  ``pending_limit`` bounds the admitted compute
+    requests; the next one gets ``429``.
     """
-    service = StructurednessService(
-        executor=executor, workers=workers, solver_time_limit=solver_time_limit,
-        jobs=jobs,
-    )
+    if executor is None:
+        executor = create_executor(
+            workers=workers, solver_time_limit=solver_time_limit, jobs=jobs,
+            max_workers=max_workers,
+        )
+    service = StructurednessService(executor=executor, pending_limit=pending_limit)
     return ServiceServer((host, port), service, verbose=verbose)
 
 
@@ -505,11 +634,13 @@ def serve(
     solver_time_limit: Optional[float] = None,
     verbose: bool = False,
     jobs: Optional[object] = None,
+    max_workers: Optional[int] = None,
+    pending_limit: int = 64,
 ) -> int:
     """Run the HTTP service until interrupted (the ``repro serve`` command)."""
     server = make_server(
         host, port, workers=workers, solver_time_limit=solver_time_limit, verbose=verbose,
-        jobs=jobs,
+        jobs=jobs, max_workers=max_workers, pending_limit=pending_limit,
     )
     print(f"repro service listening on {server.url}", flush=True)
     try:

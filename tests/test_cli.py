@@ -194,6 +194,61 @@ class TestBatch:
         assert "batch" in text and "serve" in text
 
 
+class TestServeCommand:
+    """``repro serve`` argument handling, with the server itself stubbed out."""
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        calls = []
+
+        def fake_serve(**kwargs):
+            calls.append(kwargs)
+            return 0
+
+        monkeypatch.setattr("repro.service.serve", fake_serve)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv,workers,max_workers",
+        [
+            ([], 1, None),  # inline
+            (["--workers", "3"], 3, None),  # a fixed pool of three
+            (["--workers", "1", "--max-workers", "4"], 1, 4),  # autoscaling
+        ],
+    )
+    def test_sizing_flags_reach_serve(self, served, argv, workers, max_workers):
+        assert main(["serve", "--port", "0", *argv]) == 0
+        [call] = served
+        assert (call["workers"], call["max_workers"]) == (workers, max_workers)
+        assert call["port"] == 0 and call["pending_limit"] == 64
+
+    def test_pending_limit_reaches_serve(self, served):
+        assert main(["serve", "--pending-limit", "9"]) == 0
+        assert served[0]["pending_limit"] == 9
+
+    @pytest.mark.parametrize("flag", [["--async"], ["--min-workers", "2"]])
+    def test_removed_flags_are_rejected(self, served, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", *flag])
+        assert excinfo.value.code == 2  # an argparse usage error
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert served == []
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (["--workers", "0"], "--workers must be >= 1"),
+            (["--workers", "3", "--max-workers", "2"], "--max-workers (2) must be >= --workers (3)"),
+            (["--pending-limit", "0"], "--pending-limit must be >= 1"),
+        ],
+    )
+    def test_bad_sizing_exits_with_a_message(self, served, argv, fragment):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", *argv])
+        assert fragment in str(excinfo.value)
+        assert served == []
+
+
 class TestSnapshotCommand:
     def test_version_flag(self, capsys):
         from repro import __version__

@@ -10,13 +10,17 @@ is graceful (in-flight work completes) and the executor is reusable.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
 from repro.service import ElasticPoolExecutor, InlineExecutor, create_executor
 from repro.service.elastic import _DRAIN
-from repro.service.pool import PooledExecutor
 
 NT = ('<http://e/a> <http://e/p> "1" .\n'
       '<http://e/a> <http://e/q> "1" .\n'
@@ -65,7 +69,8 @@ class TestBounds:
             elastic.close()
         fixed = create_executor(workers=2, max_workers=2)
         try:
-            assert isinstance(fixed, PooledExecutor)
+            assert isinstance(fixed, ElasticPoolExecutor)
+            assert fixed.min_workers == fixed.max_workers == 2
         finally:
             fixed.close()
         assert isinstance(create_executor(workers=1), InlineExecutor)
@@ -177,7 +182,7 @@ class TestLifecycle:
             counters = elastic.telemetry.snapshot()["counters"]
             assert counters.get("scale.forced_terminations", 0) == 0
             # Reuse after close: the mutation log survives, fresh workers
-            # replay it before taking jobs (same contract as PooledExecutor).
+            # replay it before taking jobs.
             elastic.execute([_mut(9)])
             reopened = elastic.execute([_ev()])
             baseline = InlineExecutor().execute([_mut(9), _ev()])[1:]
@@ -198,6 +203,42 @@ class TestLifecycle:
             assert elastic.execute([_ev()])[0]["ok"]  # pool still healthy
         finally:
             elastic.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
+    def test_workers_exit_when_the_parent_dies_without_close(self, tmp_path):
+        """A server killed by SIGTERM runs no close(); its workers must not linger."""
+        script = textwrap.dedent(f"""
+            import os
+            from repro.service import ElasticPoolExecutor
+            pool = ElasticPoolExecutor(min_workers=2, max_workers=2)
+            assert pool.execute([{_ev()!r}])[0]["ok"]
+            print(" ".join(str(p.pid) for p in pool._workers.values()), flush=True)
+            os._exit(0)  # no close(), no atexit hooks
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        # A file, not a pipe, for the output: the workers inherit it, and a
+        # pipe would not reach EOF while they live.
+        output = tmp_path / "pids.txt"
+        with open(output, "w") as sink:
+            subprocess.run(
+                [sys.executable, "-c", script], stdout=sink, stderr=subprocess.STDOUT,
+                timeout=120, env=env,
+            )
+        pids = [int(pid) for pid in output.read_text().split() if pid.isdigit()]
+        assert len(pids) == 2, output.read_text()
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        try:
+            assert _wait_for(lambda: not any(running(pid) for pid in pids), timeout=10)
+        finally:
+            for pid in filter(running, pids):
+                os.kill(pid, signal.SIGKILL)
 
     def test_drain_sentinel_is_distinct_from_any_job(self):
         assert _DRAIN is None  # the sentinel the workers key their exit on

@@ -1,8 +1,9 @@
 """Tests for batch planning, the inline executor and the worker pool.
 
 The acceptance-critical property lives in ``TestPooledExecutor``: a mixed
-32-request batch over four datasets executed on a 4-worker pool returns
-payloads *bit-identical* to the :class:`InlineExecutor` answer.
+32-request batch over four datasets executed on a 4-worker pool
+(``create_executor(workers=4)``) returns payloads *bit-identical* to the
+:class:`InlineExecutor` answer.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from repro.exceptions import RequestError
 from repro.service import (
     DatasetRegistry,
     DatasetSpec,
+    ElasticPoolExecutor,
     InlineExecutor,
-    PooledExecutor,
     create_executor,
     parse_request,
     plan_batch,
@@ -219,12 +220,12 @@ class TestPooledExecutor:
         inline = InlineExecutor()
         inline_envelopes = inline.execute(batch)
         assert len(inline_envelopes) == 32 and all(e["ok"] for e in inline_envelopes)
-        with PooledExecutor(workers=4) as pool:
+        with create_executor(workers=4) as pool:
             pooled_envelopes = pool.execute(batch)
         assert canonical(pooled_envelopes) == canonical(inline_envelopes)
 
     def test_pool_survives_error_requests(self):
-        with PooledExecutor(workers=2) as pool:
+        with create_executor(workers=2) as pool:
             envelopes = pool.execute(
                 [
                     {"op": "evaluate", "dataset": "dbpedia-persons", "request": {"rule": "Cov"}},
@@ -236,7 +237,7 @@ class TestPooledExecutor:
 
     def test_pool_reuses_workers_across_batches(self):
         request = {"op": "evaluate", "dataset": "wordnet-nouns", "request": {"rule": "Cov"}}
-        with PooledExecutor(workers=2) as pool:
+        with create_executor(workers=2) as pool:
             first = pool.execute([request])
             second = pool.execute([request])
             assert first == second
@@ -244,7 +245,7 @@ class TestPooledExecutor:
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
-            PooledExecutor(workers=0)
+            ElasticPoolExecutor(min_workers=0, max_workers=0)
 
 
 NT_MUTABLE = NT  # the tiny graph above doubles as the mutation target
@@ -306,7 +307,7 @@ class TestMutationDeterminism:
         inline = InlineExecutor()
         inline_envelopes = inline.execute(batch)
         assert all(e["ok"] for e in inline_envelopes)
-        with PooledExecutor(workers=4) as pool:
+        with create_executor(workers=4) as pool:
             pooled_envelopes = pool.execute(batch)
             # A follow-up batch exercises workers that did NOT run the
             # mutation job: the log replay must have converged them all.
@@ -338,7 +339,7 @@ class TestMutationDeterminism:
                 "request": {"add": [["http://ex/new", "http://ex/p", '"9"']]}}
         noop = {"op": "mutate", "dataset": ds,
                 "request": {"add": [["http://ex/a", "http://ex/p", '"1"']]}}  # present
-        with PooledExecutor(workers=2) as pool:
+        with create_executor(workers=2) as pool:
             envelopes = pool.execute([real, noop, dict(noop)])
             assert all(e["ok"] for e in envelopes)
             assert envelopes[1]["result"]["added"] == 0
@@ -355,7 +356,7 @@ class TestMutationDeterminism:
             }
         ]
         inline_envelope = InlineExecutor().execute(batch)[0]
-        with PooledExecutor(workers=2) as pool:
+        with create_executor(workers=2) as pool:
             pooled_envelope = pool.execute(batch)[0]
             # Failed mutations never enter the broadcast log.
             assert pool.stats()["mutations_logged"] == 0
@@ -380,7 +381,7 @@ class TestMutationDeterminism:
                 "request": {"add": [[f"http://ex/n{i}", "http://ex/p", f'"{i}"']]},
             }
 
-        with PooledExecutor(workers=3) as pool:
+        with create_executor(workers=3) as pool:
             with Threads(max_workers=6) as threads:
                 envelopes = list(
                     threads.map(lambda i: pool.execute([mutation(i)])[0], range(6))
@@ -426,7 +427,8 @@ class TestCreateExecutor:
         assert isinstance(inline, InlineExecutor)
         pooled = create_executor(workers=3)
         try:
-            assert isinstance(pooled, PooledExecutor) and pooled.workers == 3
+            assert isinstance(pooled, ElasticPoolExecutor)
+            assert pooled.min_workers == pooled.max_workers == 3
         finally:
             pooled.close()
 

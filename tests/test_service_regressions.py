@@ -9,11 +9,14 @@ Each class pins one bug the server used to ship:
   negative ``max_events`` terminated the stream after the first event;
 * a ``Transfer-Encoding: chunked`` body was silently read as empty and
   surfaced as a misleading "needs a 'dataset' spec" 400;
-* ``PooledExecutor.close()`` called ``terminate()`` outright, killing
-  in-flight jobs an orderly shutdown should have drained.
-
-The HTTP tests run against both front-ends (threaded and asyncio) —
-the fixes are part of the shared route contract.
+* a ``Content-Length`` that was not a non-negative integer answered 500
+  (or, for ``-1``, blocked the handler reading until EOF), and a huge one
+  500 instead of 413;
+* the pool's ``close()`` called ``terminate()`` outright, killing
+  in-flight jobs an orderly shutdown should have drained;
+* a graceful ``close()`` could count a forced termination (and signal an
+  already-reaped pid) when the collector thread reaped the drained worker
+  first and ``is_alive()`` misread it as running.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import http.client
 import json
 import math
+import os
 import socket
 import threading
 import time
@@ -30,8 +34,7 @@ import urllib.request
 import pytest
 
 from repro.exceptions import RequestError
-from repro.service import make_async_server, make_server
-from repro.service.pool import PooledExecutor
+from repro.service import ElasticPoolExecutor, make_server
 from repro.service.server import StructurednessService
 
 WATCH_DATASET = {
@@ -41,20 +44,15 @@ WATCH_DATASET = {
 }
 
 
-@pytest.fixture(params=["threaded", "async"])
-def live_server(request):
+@pytest.fixture
+def live_server():
     """A fresh (function-scoped) server: these tests patch and break it."""
-    if request.param == "threaded":
-        server = make_server(host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.close()
-        thread.join(timeout=5)
-    else:
-        server = make_async_server(host="127.0.0.1", port=0).start()
-        yield server
-        server.close()
+    server = make_server(host="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.close()
+    thread.join(timeout=5)
 
 
 def _post(server, path, body, headers=None):
@@ -132,6 +130,38 @@ class TestChunkedBodies:
         assert payload["ok"] is False
         assert "Transfer-Encoding 'chunked' is not supported" in payload["error"]["message"]
         assert "Content-Length" in payload["error"]["message"]
+
+
+def _post_with_length(server, content_length):
+    """POST /v1/evaluate with a raw Content-Length header and no body."""
+    host, port = server.url[len("http://"):].split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        connection.putrequest("POST", "/v1/evaluate")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestContentLength:
+    """A bad Content-Length is the caller's 400 (or 413), never a 500 or a hang."""
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1_0", "+5", "12x"])
+    def test_non_integer_or_negative_is_400(self, live_server, value):
+        status, payload = _post_with_length(live_server, value)
+        assert status == 400
+        assert payload["ok"] is False and payload["status"] == 400
+        assert "non-negative integer" in payload["error"]["message"]
+
+    def test_above_the_body_limit_is_413(self, live_server):
+        status, payload = _post_with_length(live_server, "999999999999")
+        assert status == 413
+        assert payload["ok"] is False and payload["status"] == 413
+        assert "exceeds" in payload["error"]["message"]
 
 
 class _ExplodingWatch:
@@ -247,57 +277,129 @@ class TestWatchClientDisconnect:
         assert service.counters["ok_responses"] == before_ok
 
 
-class _FakePool:
-    """Records the close/join/terminate order; join can be made to hang."""
-
-    def __init__(self, hang_in_join=False):
-        self.calls = []
-        self.hang_in_join = hang_in_join
-
-    def close(self):
-        self.calls.append("close")
-
-    def join(self):
-        self.calls.append("join")
-        if self.hang_in_join:
-            time.sleep(60)
-
-    def terminate(self):
-        self.calls.append("terminate")
-        self.hang_in_join = False  # a terminated pool's join returns
+NT = '<http://r/a> <http://r/p> "1" .\n'
 
 
-class TestPooledExecutorShutdown:
-    """close() drains in-flight work; terminate() is the last resort."""
+def _evaluate(dataset):
+    return {"op": "evaluate", "dataset": dataset, "request": {"rule": "Cov"}}
 
-    def test_graceful_close_never_terminates(self):
-        executor = PooledExecutor(workers=1, drain_timeout=5.0)
-        fake = _FakePool()
-        executor._pool = fake
+
+def _feed_fifo(path, text, timeout=20.0):
+    """Write ``text`` into the FIFO once its reader (a pool worker) opened it."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+            break
+        except OSError:  # ENXIO: no reader yet
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.05)
+    try:
+        os.set_blocking(fd, True)
+        os.write(fd, text.encode())
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+class TestPoolShutdown:
+    """close() drains in-flight work; terminate() is the last resort.
+
+    A job reading its N-Triples from a named pipe stays in flight until
+    the test writes the pipe, whichever process start method the pool uses.
+    """
+
+    def test_graceful_close_counts_no_forced_terminations(self):
+        executor = ElasticPoolExecutor(min_workers=1, max_workers=1, drain_timeout=5.0)
+        assert executor.execute([_evaluate({"ntriples": NT, "name": "graceful"})])[0]["ok"]
         executor.close()
-        assert fake.calls == ["close", "join"]
+        counters = executor.telemetry.snapshot()["counters"]
+        assert counters.get("scale.forced_terminations", 0) == 0
+        assert executor.stats()["workers"] == 0
 
-    def test_hung_drain_escalates_to_terminate(self):
-        executor = PooledExecutor(workers=1, drain_timeout=0.2)
-        fake = _FakePool(hang_in_join=True)
-        executor._pool = fake
+    def test_worker_reaped_by_the_collector_is_not_counted_as_stuck(self, monkeypatch):
+        """close() and the collector thread both join a drained worker.
+
+        Whichever reaps it first, the other's ``waitpid`` fails with ECHILD
+        and ``is_alive()`` misreads the exited worker as running.  Slowing
+        the step between reaping and recording the exit code widens that
+        window from microseconds to 50 ms, so each close below hits it.
+        """
+        exit_code_of = os.waitstatus_to_exitcode
+
+        def slow_exit_code_of(status):
+            time.sleep(0.05)
+            return exit_code_of(status)
+
+        monkeypatch.setattr(os, "waitstatus_to_exitcode", slow_exit_code_of)
+        for round_ in range(5):
+            executor = ElasticPoolExecutor(min_workers=1, max_workers=1, drain_timeout=5.0)
+            name = f"reaped-{round_}"
+            assert executor.execute([_evaluate({"ntriples": NT, "name": name})])[0]["ok"]
+            executor.close()
+            counters = executor.telemetry.snapshot()["counters"]
+            assert counters.get("scale.forced_terminations", 0) == 0, round_
+            assert counters["scale.worker_drains"] == 1
+
+    def test_worker_stuck_past_drain_timeout_is_terminated(self, tmp_path):
+        fifo = tmp_path / "never-written.nt"
+        os.mkfifo(fifo)
+        executor = ElasticPoolExecutor(min_workers=1, max_workers=1, drain_timeout=0.5)
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(executor.execute([_evaluate({"path": str(fifo)})]))
+            except RuntimeError as error:
+                outcome.append(error)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        assert _wait_until(lambda: executor.stats()["backlog"] == 1)
         started = time.monotonic()
         executor.close()
         elapsed = time.monotonic() - started
-        assert fake.calls[:2] == ["close", "join"]
-        assert "terminate" in fake.calls
-        assert elapsed < 5  # bounded by drain_timeout, not join()'s hang
+        caller.join(timeout=10)
+        assert not caller.is_alive()
+        # Bounded by drain_timeout plus the terminate/join, not the stuck job.
+        assert elapsed < 8, elapsed
+        counters = executor.telemetry.snapshot()["counters"]
+        assert counters["scale.forced_terminations"] == 1
+        [error] = outcome  # the abandoned job fails instead of hanging its caller
+        assert isinstance(error, RuntimeError) and "closed" in str(error)
 
-    def test_real_pool_drains_in_flight_jobs(self):
-        executor = PooledExecutor(workers=1, drain_timeout=30.0)
-        results = executor.execute([{
-            "op": "evaluate",
-            "dataset": {"builtin": "dbpedia-persons", "params": {"n_subjects": 80}},
-            "request": {"rule": "Cov"},
-        }])
-        assert results[0]["ok"]
-        executor.close()  # graceful: no forced_terminations counter bump
-        from repro.telemetry import current as current_telemetry
+    def test_in_flight_job_drains_before_close_returns(self, tmp_path):
+        fifo = tmp_path / "slow.nt"
+        os.mkfifo(fifo)
+        executor = ElasticPoolExecutor(min_workers=1, max_workers=1, drain_timeout=30.0)
+        results = []
+        caller = threading.Thread(
+            target=lambda: results.append(
+                executor.execute([_evaluate({"path": str(fifo), "name": "slow"})])
+            ),
+            daemon=True,
+        )
+        caller.start()
+        assert _wait_until(lambda: executor.stats()["backlog"] == 1)
+        closer = threading.Thread(target=executor.close, daemon=True)
+        closer.start()
+        time.sleep(0.3)
+        assert closer.is_alive()  # close() waits for the in-flight job
+        _feed_fifo(fifo, NT)
+        closer.join(timeout=30)
+        caller.join(timeout=30)
+        assert not closer.is_alive() and not caller.is_alive()
+        [[envelope]] = results
+        assert envelope["ok"], envelope
+        counters = executor.telemetry.snapshot()["counters"]
+        assert counters.get("scale.forced_terminations", 0) == 0
 
-        counters = current_telemetry().snapshot()["counters"]
-        assert counters.get("pool.forced_terminations", 0) == 0
+
+def _wait_until(predicate, timeout=20.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return predicate()

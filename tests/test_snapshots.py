@@ -19,8 +19,7 @@ import pytest
 
 from repro.api import Dataset
 from repro.exceptions import SnapshotError
-from repro.service.executor import InlineExecutor
-from repro.service.pool import PooledExecutor
+from repro.service.executor import InlineExecutor, create_executor
 from repro.service.registry import DatasetRegistry, DatasetSpec
 from repro.service.server import StructurednessService
 from repro.service.wire import strip_timing
@@ -407,7 +406,7 @@ class TestServiceIntegration:
         batch = _mixed_snapshot_batch(tmp_path, n=32)
         inline = InlineExecutor().execute(batch)
         assert len(inline) == 32 and all(envelope["ok"] for envelope in inline)
-        with PooledExecutor(workers=4) as pool:
+        with create_executor(workers=4) as pool:
             pooled = pool.execute(batch)
         assert json.dumps(pooled, sort_keys=True) == json.dumps(inline, sort_keys=True)
 
