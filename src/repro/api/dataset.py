@@ -99,8 +99,6 @@ class Dataset:
         table: Optional[SignatureTable] = None,
         graph_factory: Optional[Callable[[], RDFGraph]] = None,
         artifact_factory: Optional[Callable[[], object]] = None,
-        jobs: Optional[object] = None,
-        shards: int = 1,
         telemetry: Optional[Telemetry] = None,
     ):
         if (
@@ -111,18 +109,10 @@ class Dataset:
             and artifact_factory is None
         ):
             raise DatasetError("a Dataset needs a graph, matrix, table or a factory for one")
-        if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-            raise DatasetError(f"shards must be a positive integer, got {shards!r}")
         self._name = name
         self._graph = graph
         self._matrix = matrix
         self._table = table
-        #: Default parallelism for sessions over this dataset (``None``
-        #: defers to ``REPRO_JOBS``; see :func:`repro.parallel.resolve_jobs`).
-        #: Plain attributes — adjust after construction if needed.
-        self.jobs = jobs
-        #: How many shards :meth:`sharded_table` folds the signatures into.
-        self.shards = shards
         #: Telemetry spine the handle's builds/patches record into.  ``None``
         #: defers to the process-wide :func:`repro.telemetry.current` (a
         #: no-op unless ``REPRO_TRACE`` is set); pass an enabled
@@ -196,31 +186,25 @@ class Dataset:
     @classmethod
     def from_ntriples(
         cls, path: object, name: str = "", sort: Optional[object] = None,
-        jobs: Optional[object] = None, shards: int = 1,
         telemetry: Optional[Telemetry] = None,
     ) -> "Dataset":
         """A dataset read lazily from an N-Triples file.
 
         ``sort`` optionally restricts the graph to the subjects declared of
-        that ``rdf:type`` (like the CLI's ``--sort``).  ``jobs``,
-        ``shards`` and ``telemetry`` set the handle's plain attributes
-        (see :attr:`jobs` / :attr:`shards` / :attr:`telemetry`); every
-        graph-shaped constructor accepts them.
+        that ``rdf:type`` (like the CLI's ``--sort``).  ``telemetry`` sets
+        the handle's plain attribute (see :attr:`telemetry`); every
+        graph-shaped constructor accepts it.
         """
 
         def build() -> RDFGraph:
             graph = load_ntriples(path, name=name or str(path))
             return graph.sort_subgraph(sort) if sort else graph
 
-        return cls(
-            name=name or str(path), graph_factory=build, jobs=jobs,
-            shards=shards, telemetry=telemetry,
-        )
+        return cls(name=name or str(path), graph_factory=build, telemetry=telemetry)
 
     @classmethod
     def from_ntriples_text(
         cls, text: str, name: str = "", sort: Optional[object] = None,
-        jobs: Optional[object] = None, shards: int = 1,
         telemetry: Optional[Telemetry] = None,
     ) -> "Dataset":
         """A dataset parsed lazily from N-Triples source text."""
@@ -229,10 +213,7 @@ class Dataset:
             graph = parse_ntriples(text, name=name)
             return graph.sort_subgraph(sort) if sort else graph
 
-        return cls(
-            name=name, graph_factory=build, jobs=jobs, shards=shards,
-            telemetry=telemetry,
-        )
+        return cls(name=name, graph_factory=build, telemetry=telemetry)
 
     @classmethod
     def build_out_of_core(
@@ -246,8 +227,6 @@ class Dataset:
         partitions: Optional[int] = None,
         overwrite: bool = False,
         mmap: bool = True,
-        jobs: Optional[object] = None,
-        shards: int = 1,
         telemetry: Optional[Telemetry] = None,
     ) -> "Dataset":
         """Build a dataset from N-Triples on disk without holding it in RAM.
@@ -262,8 +241,8 @@ class Dataset:
         materialises the full triple set in memory.  Every artifact is
         bit-identical to the in-memory path; the knobs default to the
         ``REPRO_OOC_CHUNK`` / ``REPRO_OOC_PARTITIONS`` environment
-        variables.  ``sort``, ``jobs``, ``shards`` and ``telemetry`` mean
-        what they mean on :meth:`from_ntriples`.
+        variables.  ``sort`` and ``telemetry`` mean what they mean on
+        :meth:`from_ntriples`.
         """
         from repro.storage.outofcore import build_out_of_core
 
@@ -277,8 +256,6 @@ class Dataset:
             overwrite=overwrite,
         )
         dataset = cls.load(snapshot_path, name=name, mmap=mmap, verify=False)
-        dataset.jobs = jobs
-        dataset.shards = shards
         dataset.telemetry = telemetry
         return dataset
 
@@ -302,7 +279,6 @@ class Dataset:
     @classmethod
     def from_graph(
         cls, graph: RDFGraph, name: str = "", sort: Optional[object] = None,
-        jobs: Optional[object] = None, shards: int = 1,
         telemetry: Optional[Telemetry] = None,
     ) -> "Dataset":
         """Wrap an existing :class:`RDFGraph` (optionally one rdf:type sort of it).
@@ -322,22 +298,13 @@ class Dataset:
             snapshot = RDFGraph(
                 list(graph.sort_subgraph(sort)), name=name or graph.name
             )
-            return cls(
-                name=snapshot.name, graph=snapshot, jobs=jobs, shards=shards,
-                telemetry=telemetry,
-            )
-        return cls(
-            name=name or graph.name, graph=graph, jobs=jobs, shards=shards,
-            telemetry=telemetry,
-        )
+            return cls(name=snapshot.name, graph=snapshot, telemetry=telemetry)
+        return cls(name=name or graph.name, graph=graph, telemetry=telemetry)
 
     @classmethod
-    def from_matrix(
-        cls, matrix: PropertyMatrix, name: str = "",
-        jobs: Optional[object] = None, shards: int = 1,
-    ) -> "Dataset":
+    def from_matrix(cls, matrix: PropertyMatrix, name: str = "") -> "Dataset":
         """Wrap an existing property matrix M(D)."""
-        return cls(name=name or matrix.name, matrix=matrix, jobs=jobs, shards=shards)
+        return cls(name=name or matrix.name, matrix=matrix)
 
     @classmethod
     def load(
@@ -493,12 +460,9 @@ class Dataset:
         return dict(self._snapshot_provenance) if self._snapshot_provenance else None
 
     @classmethod
-    def from_table(
-        cls, table: SignatureTable, name: str = "",
-        jobs: Optional[object] = None, shards: int = 1,
-    ) -> "Dataset":
+    def from_table(cls, table: SignatureTable, name: str = "") -> "Dataset":
         """Wrap an existing signature table."""
-        return cls(name=name or table.name, table=table, jobs=jobs, shards=shards)
+        return cls(name=name or table.name, table=table)
 
     # ------------------------------------------------------------------ #
     # The cached artifact chain
@@ -556,23 +520,21 @@ class Dataset:
                 self.stats["table_builds"] += 1
             return self._table
 
-    def sharded_table(self, shards: Optional[int] = None) -> ShardedSignatureTable:
+    def sharded_table(self, shards: int) -> ShardedSignatureTable:
         """The signature table folded into ``shards`` content-hash shards.
 
         Built once per (table, shard count) and cached; mutations refresh
         the cached view incrementally (only the dirty shards are rebuilt —
-        see :meth:`ShardedSignatureTable.refreshed`).  ``shards`` defaults
-        to the handle's :attr:`shards` setting.
+        see :meth:`ShardedSignatureTable.refreshed`).
         """
         with self._lock:
-            n_shards = self.shards if shards is None else shards
             table = self.table
             if (
                 self._sharded is None
                 or self._sharded.table is not table
-                or self._sharded.n_shards != n_shards
+                or self._sharded.n_shards != shards
             ):
-                self._sharded = ShardedSignatureTable(table, n_shards)
+                self._sharded = ShardedSignatureTable(table, shards)
             return self._sharded
 
     @property

@@ -86,13 +86,6 @@ def _check_positive_int(value: object, what: str) -> int:
     return value
 
 
-def _check_jobs(value: object) -> Optional[int]:
-    """Validate a per-request ``jobs`` override (``None`` = session default)."""
-    if value is None:
-        return None
-    return _check_positive_int(value, "jobs")
-
-
 def parse_wire_term(value: object, allow_literal: bool = True) -> object:
     """Decode one triple term from its wire spelling.
 
@@ -196,14 +189,11 @@ class EvaluateRequest:
     rule: RuleSpec = "Cov"
     #: Also report the exact value as a ``"numerator/denominator"`` string.
     exact: bool = False
-    #: Per-request parallelism override; ``None`` uses the session's jobs.
-    jobs: Optional[int] = None
 
     def validated(self) -> "EvaluateRequest":
-        """Check the rule spec type and the jobs override."""
+        """Check the rule spec type."""
         if not isinstance(self.rule, (str, Rule)):
             raise RequestError(f"rule must be a name, rule text or Rule, got {self.rule!r}")
-        _check_jobs(self.jobs)
         return self
 
 
@@ -218,14 +208,11 @@ class RefineRequest:
     max_probes: int = 200
     use_incremental: bool = True
     witness_skip: bool = True
-    #: Per-request parallelism override; ``None`` uses the session's jobs.
-    jobs: Optional[int] = None
 
     def validated(self) -> "RefineRequest":
         """Validate k/probe bounds and normalise θ fields to Fractions."""
         _check_positive_int(self.k, "k")
         _check_positive_int(self.max_probes, "max_probes")
-        _check_jobs(self.jobs)
         step = parse_theta(self.step)
         if step == 0:
             raise RequestError("the theta search step must be positive")
@@ -244,12 +231,9 @@ class LowestKRequest:
     k_max: Optional[int] = None
     use_incremental: bool = True
     witness_skip: bool = True
-    #: Per-request parallelism override; ``None`` uses the session's jobs.
-    jobs: Optional[int] = None
 
     def validated(self) -> "LowestKRequest":
-        """Validate the k range, direction and jobs; normalise θ to a Fraction."""
-        _check_jobs(self.jobs)
+        """Validate the k range and direction; normalise θ to a Fraction."""
         theta = parse_theta(self.theta)
         if self.direction not in ("up", "down", "auto"):
             raise RequestError(
@@ -278,11 +262,9 @@ class SweepRequest:
     max_probes: int = 200
     use_incremental: bool = True
     witness_skip: bool = True
-    #: Per-request parallelism override; ``None`` uses the session's jobs.
-    jobs: Optional[int] = None
 
     def validated(self) -> "SweepRequest":
-        """Validate every k, the step and jobs; normalise θ fields to Fractions."""
+        """Validate every k and the step; normalise θ fields to Fractions."""
         values = tuple(self.k_values)
         if not values:
             raise RequestError("k_values must name at least one k")
@@ -292,5 +274,4 @@ class SweepRequest:
         if step == 0:
             raise RequestError("the theta search step must be positive")
         _check_positive_int(self.max_probes, "max_probes")
-        _check_jobs(self.jobs)
         return replace(self, k_values=values, step=step)

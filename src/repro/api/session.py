@@ -54,7 +54,6 @@ from repro.functions.structuredness import (
     symmetric_dependency as symmetric_dependency_value,
 )
 from repro.ilp.registry import DEFAULT_SOLVER, resolve_solver
-from repro.parallel import ParallelExecutor, resolve_jobs
 from repro.rdf.terms import coerce_uri
 from repro.rules import library
 from repro.rules.ast import Rule
@@ -95,10 +94,8 @@ def resolve_rule(spec: RuleSpec) -> Rule:
 class _CountingSolver:
     """Wraps a backend so the session can count actual solver invocations.
 
-    The counter update is lock-guarded: speculative search probes invoke
-    ``solve`` from worker threads concurrently, and the count must stay
-    honest (it includes speculated solves, so under parallelism it can
-    exceed the search trace's ``n_solver_probes``).
+    The counter update is lock-guarded, so the count stays exact even if
+    the wrapped solver is shared across threads.
     """
 
     def __init__(self, inner: object, stats: Dict[str, int]):
@@ -134,14 +131,6 @@ class StructurednessSession:
         Bound on the result cache (LRU eviction): cached refinements carry
         the full search artifacts, so a long-lived session sweeping many
         parameter combinations must not grow without limit.
-    jobs:
-        Parallelism budget for this session's queries (speculative search
-        probes, parallel rule counting).  ``None`` defers to the dataset
-        handle's ``jobs`` setting and then to the ``REPRO_JOBS``
-        environment variable; see :func:`repro.parallel.resolve_jobs`.
-        Results are identical for every setting — parallelism only changes
-        wall-clock time (and the honest ``solver_calls`` counter, which
-        includes speculated solves).
     """
 
     def __init__(
@@ -152,14 +141,8 @@ class StructurednessSession:
         solver_options: Optional[dict] = None,
         cache_results: bool = True,
         max_cached_results: int = 256,
-        jobs: Optional[object] = None,
     ):
         self.dataset = dataset
-        #: The resolved parallelism budget (session > dataset > REPRO_JOBS).
-        self.jobs: int = resolve_jobs(
-            jobs if jobs is not None else getattr(dataset, "jobs", None)
-        )
-        self._executor = ParallelExecutor(self.jobs)
         self.stats: Dict[str, int] = {
             "requests": 0,
             "solver_calls": 0,
@@ -224,12 +207,11 @@ class StructurednessSession:
             self._results.clear()
 
     def close(self) -> None:
-        """Release the session's worker pools (safe to call repeatedly).
+        """Release the session's resources; a session holds none, so a no-op.
 
-        Queries issued after ``close`` lazily recreate the pools, so this
-        is a resource release, not a terminal state.
+        Kept so callers can scope a session like any other resource;
+        queries issued after ``close`` work as before.
         """
-        self._executor.close()
 
     def describe(self) -> Dict[str, object]:
         """Serialisable session facts: dataset, solver binding and counters.
@@ -237,8 +219,6 @@ class StructurednessSession:
         ``solver`` is the *resolved* backend's name, ``solver_spec`` how it
         was requested — the service's ``/v1/stats`` reports both so callers
         can see which backend each session actually runs on.
-        ``parallelism`` reports the resolved jobs budget and the dataset's
-        shard count, so load tests can verify the deployed topology.
         """
         with self._lock:
             return {
@@ -246,23 +226,9 @@ class StructurednessSession:
                 "dataset_generation": getattr(self.dataset, "generation", 0),
                 "solver": self.solver.name,
                 "solver_spec": self.solver_spec,
-                "parallelism": {
-                    "jobs": self.jobs,
-                    "shards": getattr(self.dataset, "shards", 1),
-                },
                 "stats": dict(self.stats),
                 "cached_results": len(self._results),
             }
-
-    def _executor_for(self, request_jobs: Optional[int]):
-        """The executor a query should use: session-owned or a per-request one.
-
-        Returns ``(executor, owned)``; an ``owned`` executor was built for
-        this request's ``jobs`` override and must be closed by the caller.
-        """
-        if request_jobs is None:
-            return self._executor, False
-        return ParallelExecutor(request_jobs), True
 
     # ------------------------------------------------------------------ #
     # Shared per-rule state
@@ -345,20 +311,8 @@ class StructurednessSession:
             if cached is not None:
                 return cached
             function = self.function_for(req.rule)
-            # Shard-fold the table when the dataset asks for it; reading
-            # the table out of the sharded view keeps the snapshot the
-            # result describes identical to the one that was evaluated.
-            if getattr(self.dataset, "shards", 1) > 1:
-                target = self.dataset.sharded_table()
-                table = target.table
-            else:
-                target = table = self.dataset.table
-            executor, owned = self._executor_for(req.jobs)
-            try:
-                exact_value = function.evaluate_fraction(target, executor=executor)
-            finally:
-                if owned:
-                    executor.close()
+            table = self.dataset.table
+            exact_value = function.evaluate_fraction(table)
             result = EvaluationResult(
                 dataset=self._info_from(table),
                 rule=function.name,
@@ -414,24 +368,18 @@ class StructurednessSession:
             if cached is not None:
                 return replace(cached, cached=True)
             table = self.dataset.table
-            executor, owned = self._executor_for(req.jobs)
-            try:
-                search = highest_theta_refinement(
-                    table,
-                    rule,
-                    k=req.k,
-                    step=req.step,
-                    initial_theta=req.initial_theta,
-                    solver=self.solver,
-                    max_probes=req.max_probes,
-                    use_incremental=req.use_incremental,
-                    witness_skip=req.witness_skip,
-                    encoder=self.encoder_for(req.rule),
-                    executor=executor,
-                )
-            finally:
-                if owned:
-                    executor.close()
+            search = highest_theta_refinement(
+                table,
+                rule,
+                k=req.k,
+                step=req.step,
+                initial_theta=req.initial_theta,
+                solver=self.solver,
+                max_probes=req.max_probes,
+                use_incremental=req.use_incremental,
+                witness_skip=req.witness_skip,
+                encoder=self.encoder_for(req.rule),
+            )
             result = self._refinement_result(req.rule, rule, "highest_theta", search, table)
             self._store_result(key, result)
             return result
@@ -447,24 +395,18 @@ class StructurednessSession:
             if cached is not None:
                 return replace(cached, cached=True)
             table = self.dataset.table
-            executor, owned = self._executor_for(req.jobs)
-            try:
-                search = lowest_k_refinement(
-                    table,
-                    rule,
-                    theta=req.theta,
-                    direction=req.direction,
-                    k_min=req.k_min,
-                    k_max=req.k_max,
-                    solver=self.solver,
-                    use_incremental=req.use_incremental,
-                    witness_skip=req.witness_skip,
-                    encoder=self.encoder_for(req.rule),
-                    executor=executor,
-                )
-            finally:
-                if owned:
-                    executor.close()
+            search = lowest_k_refinement(
+                table,
+                rule,
+                theta=req.theta,
+                direction=req.direction,
+                k_min=req.k_min,
+                k_max=req.k_max,
+                solver=self.solver,
+                use_incremental=req.use_incremental,
+                witness_skip=req.witness_skip,
+                encoder=self.encoder_for(req.rule),
+            )
             result = self._refinement_result(req.rule, rule, "lowest_k", search, table)
             self._store_result(key, result)
             return result
@@ -491,27 +433,21 @@ class StructurednessSession:
             # if a sibling session mutates the dataset mid-sweep.
             table = self.dataset.table
             entries = []
-            executor, owned = self._executor_for(req.jobs)
-            try:
-                for k in req.k_values:
-                    search = highest_theta_refinement(
-                        table,
-                        rule,
-                        k=k,
-                        step=req.step,
-                        solver=self.solver,
-                        max_probes=req.max_probes,
-                        use_incremental=req.use_incremental,
-                        witness_skip=req.witness_skip,
-                        encoder=self.encoder_for(req.rule),
-                        executor=executor,
-                    )
-                    entries.append(
-                        self._refinement_result(req.rule, rule, "highest_theta", search, table)
-                    )
-            finally:
-                if owned:
-                    executor.close()
+            for k in req.k_values:
+                search = highest_theta_refinement(
+                    table,
+                    rule,
+                    k=k,
+                    step=req.step,
+                    solver=self.solver,
+                    max_probes=req.max_probes,
+                    use_incremental=req.use_incremental,
+                    witness_skip=req.witness_skip,
+                    encoder=self.encoder_for(req.rule),
+                )
+                entries.append(
+                    self._refinement_result(req.rule, rule, "highest_theta", search, table)
+                )
             result = SweepResult(
                 dataset=self._info_from(table), rule=entries[0].rule, entries=tuple(entries)
             )

@@ -199,9 +199,7 @@ class WatchSession:
         and emits a ``drift`` event whenever the smallest k reaching θ
         changes.
     shards:
-        Shard count for the incremental σ recounts.  Defaults to the
-        dataset's own ``shards`` setting when that is > 1 (sharing the
-        handle's cached sharded view), else 16.
+        Shard count for the incremental σ recounts (``None`` means 16).
     solver / solver_time_limit:
         Forwarded to the internal session used for lowest-k tracking.
 
@@ -223,7 +221,7 @@ class WatchSession:
     ):
         self.dataset = dataset
         if shards is None:
-            shards = dataset.shards if dataset.shards > 1 else 16
+            shards = 16
         if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
             raise RequestError(f"shards must be a positive integer, got {shards!r}")
         self.shards = shards

@@ -76,7 +76,6 @@ from repro.api import Dataset, StructurednessSession, parse_theta
 from repro.exceptions import RequestError, SnapshotError
 from repro.ilp.registry import DEFAULT_SOLVER, solver_names
 from repro.matrix.horizontal import render_signature_table
-from repro.parallel import resolve_jobs
 from repro.rules.parser import parse_rule
 
 __all__ = ["main", "build_parser"]
@@ -121,11 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(solver_names()),
         help=f"MILP backend (default {DEFAULT_SOLVER!r})",
     )
-    refine.add_argument(
-        "--jobs", default=None,
-        help="parallel workers for speculative ILP probes (an integer, 0 or "
-        "'auto' for all CPUs; default: the REPRO_JOBS env var, else 1)",
-    )
     refine.add_argument("--json", action="store_true", help="emit the result as JSON")
 
     experiment = subparsers.add_parser("experiment", help="run one of the paper's experiments")
@@ -146,11 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--workers", type=int, default=1, help="worker processes (1 = inline)")
     batch.add_argument("--output", "-o", help="write result JSONL here instead of stdout")
     batch.add_argument("--time-limit", type=float, default=None, help="per-ILP time limit in seconds")
-    batch.add_argument(
-        "--jobs", default=None,
-        help="per-session (or per-worker) parallelism budget (an integer, 0 or "
-        "'auto'; default: the REPRO_JOBS env var, else 1)",
-    )
     batch.add_argument("--stats", action="store_true", help="print executor stats to stderr")
 
     serve = subparsers.add_parser("serve", help="start the HTTP structuredness service")
@@ -158,11 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080, help="TCP port (0 = ephemeral)")
     serve.add_argument("--workers", type=int, default=1, help="worker processes (1 = inline)")
     serve.add_argument("--time-limit", type=float, default=None, help="per-ILP time limit in seconds")
-    serve.add_argument(
-        "--jobs", default=None,
-        help="per-session (or per-worker) parallelism budget (an integer, 0 or "
-        "'auto'; default: the REPRO_JOBS env var, else 1)",
-    )
     serve.add_argument("--verbose", action="store_true", help="log every HTTP request")
     serve.add_argument(
         "--max-workers", type=int, default=None,
@@ -295,17 +279,6 @@ def _parse_theta_arg(raw: str) -> Fraction:
         raise SystemExit(f"--theta: {error}")
 
 
-def _parse_jobs_arg(raw: Optional[str]) -> Optional[str]:
-    """Fail fast on an unparsable --jobs value; the setting passes through."""
-    if raw is None:
-        return None
-    try:
-        resolve_jobs(raw)
-    except RequestError as error:
-        raise SystemExit(f"--jobs: {error}")
-    return raw
-
-
 def _command_evaluate(args: argparse.Namespace) -> int:
     session = _open_session(args)
     table = session.dataset.table
@@ -335,10 +308,7 @@ def _command_evaluate(args: argparse.Namespace) -> int:
 
 
 def _command_refine(args: argparse.Namespace) -> int:
-    session = _open_session(
-        args, solver=args.solver, solver_time_limit=args.time_limit,
-        jobs=_parse_jobs_arg(args.jobs),
-    )
+    session = _open_session(args, solver=args.solver, solver_time_limit=args.time_limit)
     rule = parse_rule(args.rule) if args.rule else args.rule_name
 
     if (args.k is None) == (args.theta is None):
@@ -389,10 +359,7 @@ def _command_batch(args: argparse.Namespace) -> int:
     else:
         with open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()
-    with create_executor(
-        workers=args.workers, solver_time_limit=args.time_limit,
-        jobs=_parse_jobs_arg(args.jobs),
-    ) as executor:
+    with create_executor(workers=args.workers, solver_time_limit=args.time_limit) as executor:
         try:
             output = executor.execute_jsonl(text)
         except RequestError as error:
@@ -512,7 +479,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         solver_time_limit=args.time_limit,
         verbose=args.verbose,
-        jobs=_parse_jobs_arg(args.jobs),
         max_workers=args.max_workers,
         pending_limit=args.pending_limit,
     )

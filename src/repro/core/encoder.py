@@ -229,27 +229,6 @@ class SortRefinementEncoder:
         cases = {key: (total, favourable) for key, (total, favourable) in grouped.items()}
         return self._case_cache.set(table, cases)
 
-    def speculative_clone(self, table: SignatureTable) -> "SortRefinementEncoder":
-        """A same-config encoder for a concurrent speculative probe.
-
-        Encoders share :class:`~repro.solvers.model.Variable` objects
-        across incremental encodings, so two probes encoding concurrently
-        must not share one encoder.  The clone copies the configuration
-        and pre-seeds its case cache with this encoder's (computed if
-        necessary) coefficients for ``table`` — the expensive part of
-        probe assembly — so speculation costs one extra model build, not
-        a re-enumeration of the rough cases.
-        """
-        clone = SortRefinementEncoder(
-            self.rule,
-            symmetry_breaking=self.symmetry_breaking,
-            hash_exponent_cap=self.hash_exponent_cap,
-            group_equivalent_cases=self.group_equivalent_cases,
-            exact_threshold_coefficients=self.exact_threshold_coefficients,
-        )
-        clone._case_cache.set(table, self.compute_cases(table))
-        return clone
-
     # ------------------------------------------------------------------ #
     # Encoding
     # ------------------------------------------------------------------ #

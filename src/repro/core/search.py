@@ -38,7 +38,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Union
 
 from repro.core.decision import RefinementDecision, decide_sort_refinement
 from repro.core.encoder import SortRefinementEncoder, to_fraction
@@ -51,7 +51,6 @@ from repro.functions.structuredness import (
     best_function_for_rule,
 )
 from repro.ilp.registry import resolve_solver
-from repro.parallel import ParallelExecutor
 from repro.rules.ast import Rule
 from repro.rules.counting import sigma_by_signatures_fraction
 
@@ -177,113 +176,6 @@ def _merged_witness(
     return None
 
 
-#: Grid points are identified by (θ as an exact fraction, k).
-_ProbePoint = Tuple[Fraction, int]
-
-
-class _SpeculativeProbes:
-    """Runs decision probes, speculatively pre-solving upcoming grid points.
-
-    The searches walk a deterministic (θ, k) grid; with a parallel
-    executor, up to ``jobs − 1`` of the next grid points are launched on
-    worker threads *before* blocking on the current probe, so their solves
-    overlap.  Determinism is preserved by construction:
-
-    * the search state machine (witness certification, stop conditions,
-      recording order) runs unchanged on the calling thread and consumes
-      probe answers in exactly the serial order;
-    * each speculative probe gets its own encoder clone
-      (:meth:`SortRefinementEncoder.speculative_clone`) — incremental and
-      from-scratch encodings assemble bit-identical models, so a
-      speculated answer equals the serial one;
-    * a probe the state machine never asks for (the search stopped, or a
-      witness certified it) is simply discarded — wasted work, never a
-      changed answer.
-
-    With a serial executor (or none) every probe runs inline with the
-    shared incremental encoder: byte-identical to the pre-speculation code.
-    """
-
-    def __init__(
-        self,
-        table,
-        rule: Rule,
-        solver,
-        encoder: SortRefinementEncoder,
-        use_incremental: bool,
-        executor: Optional[ParallelExecutor],
-    ):
-        self._table = table
-        self._rule = rule
-        self._solver = solver
-        self._encoder = encoder
-        self._incremental = use_incremental
-        self._executor = executor
-        self._futures: Dict[_ProbePoint, object] = {}
-
-    @property
-    def speculative(self) -> bool:
-        return self._executor is not None and self._executor.parallel
-
-    def _probe(self, theta: Fraction, k: int) -> RefinementDecision:
-        # Worker-thread path: clone the encoder so concurrent probes never
-        # share mutable encoder state.  The solver backends are stateless
-        # per solve() call.
-        return decide_sort_refinement(
-            self._table,
-            self._rule,
-            theta,
-            k,
-            solver=self._solver,
-            encoder=self._encoder.speculative_clone(self._table),
-            incremental=self._incremental,
-        )
-
-    def decide(
-        self,
-        theta: Fraction,
-        k: int,
-        upcoming: Sequence[_ProbePoint] = (),
-    ) -> RefinementDecision:
-        """Answer the (θ, k) probe, pre-launching ``upcoming`` grid points.
-
-        ``upcoming`` lists the grid points the search *may* probe next, in
-        order; at most ``jobs − 1`` are kept in flight.  Points no longer
-        reachable (not current, not upcoming) are cancelled.
-        """
-        if not self.speculative:
-            return decide_sort_refinement(
-                self._table, self._rule, theta, k, solver=self._solver,
-                encoder=self._encoder, incremental=self._incremental,
-            )
-        key = (theta, k)
-        future = self._futures.pop(key, None)
-        wanted = set(upcoming)
-        for stale in [point for point in self._futures if point not in wanted]:
-            self._futures.pop(stale).cancel()
-        budget = self._executor.jobs - 1
-        for point in upcoming:
-            if len(self._futures) >= budget:
-                break
-            if point not in self._futures:
-                self._futures[point] = self._executor.submit(self._probe, *point)
-        if future is None:
-            # Not speculated (first probe, or a cancelled/stale point):
-            # solve inline with the shared incremental encoder, exactly as
-            # the serial search would.
-            return decide_sort_refinement(
-                self._table, self._rule, theta, k, solver=self._solver,
-                encoder=self._encoder, incremental=self._incremental,
-            )
-        return future.result()
-
-    def close(self) -> None:
-        """Cancel whatever speculation is still pending."""
-        for future in self._futures.values():
-            future.cancel()
-        self._futures.clear()
-
-
 def highest_theta_refinement(
     dataset: Dataset,
     rule: Rule,
@@ -297,8 +189,6 @@ def highest_theta_refinement(
     use_incremental: bool = True,
     witness_skip: bool = True,
     encoder: Optional[SortRefinementEncoder] = None,
-    jobs: Optional[Union[int, str]] = None,
-    executor: Optional[ParallelExecutor] = None,
 ) -> SearchResult:
     """Find (approximately) the largest θ admitting a refinement with ``k`` sorts.
 
@@ -337,25 +227,16 @@ def highest_theta_refinement(
         A pre-built :class:`SortRefinementEncoder` for ``rule`` — the
         session layer passes one so consecutive searches over the same
         table share cached case coefficients and sweep state.
-    jobs / executor:
-        Parallelism budget (see :mod:`repro.parallel`): with more than one
-        job, the next θ grid points are ILP-probed speculatively while the
-        current probe solves.  ``executor`` takes precedence over ``jobs``
-        and is not closed here; an executor built from ``jobs`` is owned
-        and closed by this call.  Results are identical for every setting.
     """
     table = as_signature_table(dataset)
     if encoder is None:
         encoder = SortRefinementEncoder(rule)
     solver = resolve_solver(solver, time_limit=solver_time_limit)
-    owned_executor: Optional[ParallelExecutor] = None
-    if executor is None:
-        executor = owned_executor = ParallelExecutor(jobs)
     if initial_theta is None:
         # Start from sigma_r(D) (always feasible via the trivial one-sort
         # refinement), floored to a 1/10000 grid so that the threshold
         # fraction stays small and safely below the exact value.
-        exact_sigma = sigma_by_signatures_fraction(rule, table, executor=executor)
+        exact_sigma = sigma_by_signatures_fraction(rule, table)
         initial_theta = Fraction(int(exact_sigma * 10_000), 10_000)
     theta = to_fraction(initial_theta)
     step_fraction = to_fraction(step)
@@ -372,55 +253,44 @@ def highest_theta_refinement(
         if witness_sigma >= theta:
             witness = candidate
 
-    prober = _SpeculativeProbes(table, rule, solver, encoder, use_incremental, executor)
-
-    def upcoming_thetas(current: Fraction) -> List[_ProbePoint]:
-        points: List[_ProbePoint] = []
-        while current < 1 and len(points) < max(0, executor.jobs - 1):
-            current = min(Fraction(1), current + step_fraction)
-            points.append((current, k))
-        return points
-
     best: Optional[SortRefinement] = None
     best_theta = theta
     steps: List[SearchStep] = []
     probes = 0
-    try:
-        while probes < max_probes and theta <= 1:
-            if witness is not None and witness_sigma >= theta:
-                search_step = SearchStep(
-                    theta=float(theta), k=k, feasible=True, solve_time=0.0, status=WITNESS_STATUS
-                )
-                feasible = True
-                best, best_theta = witness, theta
-            else:
-                decision = prober.decide(theta, k, upcoming=upcoming_thetas(theta))
-                search_step = SearchStep(
-                    theta=float(theta),
-                    k=k,
-                    feasible=decision.feasible,
-                    solve_time=decision.solve_time,
-                    status=decision.solution.status,
-                )
-                feasible = decision.feasible
-                if feasible:
-                    best, best_theta = decision.refinement, theta
-                    if witness_skip:
-                        witness = decision.refinement
-                        witness_sigma = _exact_min_sigma(function, witness)
-            probes += 1
-            steps.append(search_step)
-            if callback is not None:
-                callback(search_step)
-            if not feasible:
-                break
-            if theta == 1:
-                break
-            theta = min(Fraction(1), theta + step_fraction)
-    finally:
-        prober.close()
-        if owned_executor is not None:
-            owned_executor.close()
+    while probes < max_probes and theta <= 1:
+        if witness is not None and witness_sigma >= theta:
+            search_step = SearchStep(
+                theta=float(theta), k=k, feasible=True, solve_time=0.0, status=WITNESS_STATUS
+            )
+            feasible = True
+            best, best_theta = witness, theta
+        else:
+            decision = decide_sort_refinement(
+                table, rule, theta, k, solver=solver,
+                encoder=encoder, incremental=use_incremental,
+            )
+            search_step = SearchStep(
+                theta=float(theta),
+                k=k,
+                feasible=decision.feasible,
+                solve_time=decision.solve_time,
+                status=decision.solution.status,
+            )
+            feasible = decision.feasible
+            if feasible:
+                best, best_theta = decision.refinement, theta
+                if witness_skip:
+                    witness = decision.refinement
+                    witness_sigma = _exact_min_sigma(function, witness)
+        probes += 1
+        steps.append(search_step)
+        if callback is not None:
+            callback(search_step)
+        if not feasible:
+            break
+        if theta == 1:
+            break
+        theta = min(Fraction(1), theta + step_fraction)
     total_time = time.perf_counter() - started
 
     if best is None:
@@ -454,8 +324,6 @@ def lowest_k_refinement(
     use_incremental: bool = True,
     witness_skip: bool = True,
     encoder: Optional[SortRefinementEncoder] = None,
-    jobs: Optional[Union[int, str]] = None,
-    executor: Optional[ParallelExecutor] = None,
 ) -> SearchResult:
     """Find the smallest ``k`` admitting a refinement with threshold ``θ``.
 
@@ -482,21 +350,11 @@ def lowest_k_refinement(
         non-empty sorts (whose per-sort σ values exactly meet θ) settles
         every probe down to ``k = j``.  The greedy bound and the singleton
         refinement are used as initial witnesses when they certify.
-    jobs / executor:
-        Parallelism budget (see :mod:`repro.parallel`): with more than one
-        job, the next ``k`` grid points in search direction are ILP-probed
-        speculatively while the current probe solves.  ``executor`` takes
-        precedence over ``jobs`` and is not closed here; an executor built
-        from ``jobs`` is owned and closed by this call.  Results are
-        identical for every setting.
     """
     table = as_signature_table(dataset)
     if encoder is None:
         encoder = SortRefinementEncoder(rule)
     solver = resolve_solver(solver, time_limit=solver_time_limit)
-    owned_executor: Optional[ParallelExecutor] = None
-    if executor is None:
-        executor = owned_executor = ParallelExecutor(jobs)
     theta_fraction = to_fraction(theta)
     if k_max is None:
         k_max = table.n_signatures
@@ -534,10 +392,11 @@ def lowest_k_refinement(
             status=WITNESS_STATUS,
         )
 
-    prober = _SpeculativeProbes(table, rule, solver, encoder, use_incremental, executor)
-
-    def probe(k: int, upcoming: Sequence[_ProbePoint]) -> RefinementDecision:
-        decision = prober.decide(theta_fraction, k, upcoming=upcoming)
+    def probe(k: int) -> RefinementDecision:
+        decision = decide_sort_refinement(
+            table, rule, theta_fraction, k, solver=solver,
+            encoder=encoder, incremental=use_incremental,
+        )
         record(
             SearchStep(
                 theta=float(theta_fraction),
@@ -549,65 +408,56 @@ def lowest_k_refinement(
         )
         return decision
 
-    try:
-        if direction == "up":
-            for k in range(k_min, k_max + 1):
-                if witness_skip and k == 1:
-                    # The one-sort refinement is the only candidate at k = 1;
-                    # its exact σ settles the probe without a solver call.
-                    trivial = _trivial_refinement(table, rule, theta_fraction)
-                    if _exact_min_sigma(function, trivial) >= theta_fraction:
-                        record(witness_step(k))
-                        best_refinement, best_k = trivial, k
-                        break
-                    # An exactly-infeasible trivial refinement does not prove the
-                    # ILP infeasible (float tolerances), so fall through.
-                decision = probe(
-                    k, [(theta_fraction, kk) for kk in range(k + 1, k_max + 1)]
-                )
-                if decision.feasible:
-                    best_refinement, best_k = decision.refinement, k
+    if direction == "up":
+        for k in range(k_min, k_max + 1):
+            if witness_skip and k == 1:
+                # The one-sort refinement is the only candidate at k = 1;
+                # its exact σ settles the probe without a solver call.
+                trivial = _trivial_refinement(table, rule, theta_fraction)
+                if _exact_min_sigma(function, trivial) >= theta_fraction:
+                    record(witness_step(k))
+                    best_refinement, best_k = trivial, k
                     break
-        else:
-            for k in range(k_max, k_min - 1, -1):
-                if witness_skip and witness is not None and witness.k <= k:
+                # An exactly-infeasible trivial refinement does not prove the
+                # ILP infeasible (float tolerances), so fall through.
+            decision = probe(k)
+            if decision.feasible:
+                best_refinement, best_k = decision.refinement, k
+                break
+    else:
+        for k in range(k_max, k_min - 1, -1):
+            if witness_skip and witness is not None and witness.k <= k:
+                record(witness_step(k))
+                best_refinement, best_k = witness, k
+                continue
+            if witness_skip and witness is not None and witness.k == k + 1:
+                # Warm start: try to merge two sorts of the previous witness
+                # instead of re-solving from scratch.
+                merged = _merged_witness(function, witness, theta_fraction)
+                if merged is not None:
+                    witness = merged
                     record(witness_step(k))
                     best_refinement, best_k = witness, k
                     continue
-                if witness_skip and witness is not None and witness.k == k + 1:
-                    # Warm start: try to merge two sorts of the previous witness
-                    # instead of re-solving from scratch.
-                    merged = _merged_witness(function, witness, theta_fraction)
-                    if merged is not None:
-                        witness = merged
-                        record(witness_step(k))
-                        best_refinement, best_k = witness, k
-                        continue
-                if (
-                    witness_skip
-                    and witness is None
-                    and k == table.n_signatures
-                ):
-                    # First probe of a plain downward sweep: the singleton
-                    # refinement usually certifies it outright.
-                    singleton = _singleton_refinement(table, rule, theta_fraction)
-                    if _exact_min_sigma(function, singleton) >= theta_fraction:
-                        witness = singleton
-                        record(witness_step(k))
-                        best_refinement, best_k = witness, k
-                        continue
-                decision = probe(
-                    k, [(theta_fraction, kk) for kk in range(k - 1, k_min - 1, -1)]
-                )
-                if not decision.feasible:
-                    break
-                best_refinement, best_k = decision.refinement, k
-                if witness_skip and _exact_min_sigma(function, decision.refinement) >= theta_fraction:
-                    witness = decision.refinement
-    finally:
-        prober.close()
-        if owned_executor is not None:
-            owned_executor.close()
+            if (
+                witness_skip
+                and witness is None
+                and k == table.n_signatures
+            ):
+                # First probe of a plain downward sweep: the singleton
+                # refinement usually certifies it outright.
+                singleton = _singleton_refinement(table, rule, theta_fraction)
+                if _exact_min_sigma(function, singleton) >= theta_fraction:
+                    witness = singleton
+                    record(witness_step(k))
+                    best_refinement, best_k = witness, k
+                    continue
+            decision = probe(k)
+            if not decision.feasible:
+                break
+            best_refinement, best_k = decision.refinement, k
+            if witness_skip and _exact_min_sigma(function, decision.refinement) >= theta_fraction:
+                witness = decision.refinement
 
     total_time = time.perf_counter() - started
     if best_refinement is None or best_k is None:

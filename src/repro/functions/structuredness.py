@@ -32,7 +32,6 @@ from typing import Callable, Optional, Union
 
 from repro.exceptions import EvaluationError
 from repro.matrix.property_matrix import PropertyMatrix
-from repro.matrix.sharded import ShardedSignatureTable
 from repro.matrix.signatures import SignatureTable
 from repro.rdf.graph import RDFGraph
 from repro.rdf.terms import coerce_uri
@@ -179,25 +178,15 @@ class StructurednessFunction:
         self._fast_path = fast_path
         self.name = name or rule.name or rule.to_text()
 
-    def evaluate_fraction(self, dataset: Dataset, executor=None) -> Fraction:
-        """Return σ(dataset) as an exact fraction.
-
-        ``executor`` is an optional
-        :class:`~repro.parallel.ParallelExecutor`.  Closed-form fast paths
-        ignore it (they are a few NumPy reductions); rule-based evaluation
-        passes it through to the signature-level counting, and a
-        :class:`~repro.matrix.ShardedSignatureTable` dataset is counted
-        shard-by-shard.  The fraction is identical in every configuration.
-        """
-        if self._fast_path is None and isinstance(dataset, ShardedSignatureTable):
-            return dataset.sigma_fraction(self.rule, executor=executor)
+    def evaluate_fraction(self, dataset: Dataset) -> Fraction:
+        """Return σ(dataset) as an exact fraction."""
         table = as_signature_table(dataset)
         if self._fast_path is not None:
             return self._fast_path(table)
-        return sigma_by_signatures_fraction(self.rule, table, executor=executor)
+        return sigma_by_signatures_fraction(self.rule, table)
 
-    def __call__(self, dataset: Dataset, executor=None) -> float:
-        return float(self.evaluate_fraction(dataset, executor=executor))
+    def __call__(self, dataset: Dataset) -> float:
+        return float(self.evaluate_fraction(dataset))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<StructurednessFunction {self.name}>"

@@ -3,8 +3,8 @@
 The signature table is a sparse associative array (signature × property →
 count), and like any associative array its *row* partition distributes
 trivially: every structuredness aggregate used in this library is a sum
-over signatures, so splitting the signatures into S shards lets S workers
-count independently and merge by addition.  :class:`ShardedSignatureTable`
+over signatures, so the signatures split into S shards are counted
+independently and merged by addition.  :class:`ShardedSignatureTable`
 implements exactly that partition:
 
 * shards fold **signatures, never subjects** — all members of a signature
@@ -19,7 +19,7 @@ implements exactly that partition:
   worker of a pool, which is what makes shard-merged counts reproducible;
 * one-variable rule counts and σ fractions merge additively across
   shards (multi-variable rules need cross-shard assignments and fall back
-  to whole-table counting, chunked by first-variable candidates instead);
+  to whole-table counting);
 * :meth:`apply_delta` keeps the sharding incrementally consistent with
   ``SignatureTable.apply_delta``: only shards whose signatures changed
   are rebuilt, the rest are reused object-identically, and the result
@@ -174,7 +174,7 @@ class ShardedSignatureTable:
     # ------------------------------------------------------------------ #
     # Shard-merged counting
     # ------------------------------------------------------------------ #
-    def rule_counts(self, rule, executor=None) -> Tuple[int, int]:
+    def rule_counts(self, rule) -> Tuple[int, int]:
         """``(total, favourable)`` concrete-assignment counts of ``rule``.
 
         One-variable rules are counted per shard and summed — every
@@ -182,27 +182,20 @@ class ShardedSignatureTable:
         splits the case set disjointly and the merge is plain integer
         addition (exact, associative, order-independent).  Multi-variable
         rules need assignments spanning shards, so they are counted over
-        the parent table (parallelised there by chunking the first
-        variable's candidates).  ``executor`` is an optional
-        :class:`~repro.parallel.ParallelExecutor`; shards are mapped on
-        threads (the counting kernels are NumPy reductions).
+        the parent table.
         """
         from repro.rules.counting import rule_counts as count_table
 
         if len(rule.variables()) != 1:
-            return count_table(rule, self.table, executor=executor)
-        results = (
-            executor.map(lambda shard: count_table(rule, shard), self._shards, mode="thread")
-            if executor is not None
-            else [count_table(rule, shard) for shard in self._shards]
-        )
+            return count_table(rule, self.table)
+        results = [count_table(rule, shard) for shard in self._shards]
         total = sum(t for t, _f in results)
         favourable = sum(f for _t, f in results)
         return total, favourable
 
-    def sigma_fraction(self, rule, executor=None) -> Fraction:
+    def sigma_fraction(self, rule) -> Fraction:
         """σ_r over the sharded table as an exact fraction (shard-merged)."""
-        total, favourable = self.rule_counts(rule, executor=executor)
+        total, favourable = self.rule_counts(rule)
         if total == 0:
             return Fraction(1)
         return Fraction(favourable, total)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -463,34 +463,18 @@ def enumerate_rough_assignments(
     yield from _enumerate_multi_variable(rule, ctx, keep_zero_total)
 
 
-def _candidate_pairs(ctx: _IndexedTable) -> List[Tuple[int, int]]:
-    """Every (signature index, property index) pair of the table, in order."""
-    return [
+def _enumerate_multi_variable(
+    rule: Rule, ctx: _IndexedTable, keep_zero_total: bool
+) -> Iterator[RoughCase]:
+    """Backtracking enumeration for rules with several variables."""
+    variables = sorted(rule.variables())
+    prunable = _prunable_conjuncts(rule.antecedent)
+    # Every (signature index, property index) pair of the table, in order.
+    candidates = [
         (si, pj)
         for si in range(len(ctx.signatures))
         for pj in range(len(ctx.properties))
     ]
-
-
-def _enumerate_multi_variable(
-    rule: Rule,
-    ctx: _IndexedTable,
-    keep_zero_total: bool,
-    first_candidates: Optional[Sequence[Tuple[int, int]]] = None,
-) -> Iterator[RoughCase]:
-    """Backtracking enumeration for rules with several variables.
-
-    ``first_candidates`` optionally restricts the candidate pairs of the
-    *first* variable (in sorted order) — the parallel counting path
-    chunks the full candidate list this way, which partitions the
-    assignment space disjointly: concatenating the chunks' cases in
-    chunk order reproduces the serial enumeration exactly.
-    """
-    variables = sorted(rule.variables())
-    prunable = _prunable_conjuncts(rule.antecedent)
-    candidates = _candidate_pairs(ctx)
-    if first_candidates is None:
-        first_candidates = candidates
     combined = rule.combined()
     signatures, properties = ctx.signatures, ctx.properties
 
@@ -506,7 +490,7 @@ def _enumerate_multi_variable(
             yield RoughCase(tau, total, favourable)
             return
         variable = variables[index]
-        for pair in first_candidates if index == 0 else candidates:
+        for pair in candidates:
             partial[variable] = pair
             if _partial_ok(prunable, partial):
                 yield from recurse(index + 1, partial)
@@ -537,19 +521,14 @@ _ALWAYS_DIFFERENT: Dict[frozenset, bool] = _AlwaysDifferent()
 # --------------------------------------------------------------------------- #
 # σ_r at the signature level
 # --------------------------------------------------------------------------- #
-def rule_counts(rule: Rule, table: SignatureTable, executor=None) -> Tuple[int, int]:
+def rule_counts(rule: Rule, table: SignatureTable) -> Tuple[int, int]:
     """``(total, favourable)`` concrete-assignment counts of ``rule``.
 
     These are the two integers behind ``σ_r = favourable / total`` — the
     sums of :class:`RoughCase` totals and favourables over every rough
     assignment.  One-variable rules are fully vectorised (two boolean
     matrix evaluations and two integer reductions, no per-case Python
-    loop).  Multi-variable rules run the backtracking enumeration; when
-    ``executor`` is a parallel :class:`~repro.parallel.ParallelExecutor`
-    the first variable's candidate pairs are split into contiguous
-    chunks counted concurrently on threads — the chunks partition the
-    assignment space disjointly, so the summed result is exactly the
-    serial one.
+    loop).  Multi-variable rules run the backtracking enumeration.
     """
     if rule.uses_subject_constants():
         raise EvaluationError(
@@ -569,42 +548,22 @@ def rule_counts(rule: Rule, table: SignatureTable, executor=None) -> Tuple[int, 
         favourable = int(np.where(antecedent & combined, counts, 0).sum())
         return total, favourable
 
-    def count_cases(first_candidates: Optional[Sequence[Tuple[int, int]]]) -> Tuple[int, int]:
-        total = 0
-        favourable = 0
-        for case in _enumerate_multi_variable(
-            rule, ctx, False, first_candidates=first_candidates
-        ):
-            total += case.total
-            favourable += case.favourable
-        return total, favourable
-
-    candidates = _candidate_pairs(ctx)
-    if executor is None or not getattr(executor, "parallel", False) or len(candidates) <= 1:
-        return count_cases(None)
-    # Oversplit relative to the worker count so uneven chunks (pruning
-    # makes some first-variable pairs far cheaper than others) balance.
-    n_chunks = min(len(candidates), executor.jobs * 4)
-    bounds = [(len(candidates) * i) // n_chunks for i in range(n_chunks + 1)]
-    chunks = [candidates[bounds[i] : bounds[i + 1]] for i in range(n_chunks)]
-    results = executor.map(count_cases, chunks, mode="thread")
-    return sum(t for t, _f in results), sum(f for _t, f in results)
+    total = 0
+    favourable = 0
+    for case in _enumerate_multi_variable(rule, ctx, False):
+        total += case.total
+        favourable += case.favourable
+    return total, favourable
 
 
-def sigma_by_signatures_fraction(
-    rule: Rule, table: SignatureTable, executor=None
-) -> Fraction:
-    """Evaluate ``σ_r`` over a signature table, returning an exact fraction.
-
-    ``executor`` optionally parallelises the underlying
-    :func:`rule_counts`; the fraction is identical either way.
-    """
-    total, favourable = rule_counts(rule, table, executor=executor)
+def sigma_by_signatures_fraction(rule: Rule, table: SignatureTable) -> Fraction:
+    """Evaluate ``σ_r`` over a signature table, returning an exact fraction."""
+    total, favourable = rule_counts(rule, table)
     if total == 0:
         return Fraction(1)
     return Fraction(favourable, total)
 
 
-def sigma_by_signatures(rule: Rule, table: SignatureTable, executor=None) -> float:
+def sigma_by_signatures(rule: Rule, table: SignatureTable) -> float:
     """Evaluate ``σ_r`` over a signature table, returning a float."""
-    return float(sigma_by_signatures_fraction(rule, table, executor=executor))
+    return float(sigma_by_signatures_fraction(rule, table))

@@ -140,8 +140,7 @@ def _has_exited(process: multiprocessing.Process) -> bool:
 
 
 def _elastic_worker_main(
-    inbound, outbound, worker_id: int,
-    solver_time_limit: Optional[float], jobs: Optional[object],
+    inbound, outbound, worker_id: int, solver_time_limit: Optional[float]
 ) -> None:
     """Worker process body: boot an inline engine, serve jobs until drained.
 
@@ -153,7 +152,7 @@ def _elastic_worker_main(
     no writer is left and ``get()`` raises instead of blocking forever.
     """
     inbound._writer.close()
-    executor = InlineExecutor(solver_time_limit=solver_time_limit, jobs=jobs)
+    executor = InlineExecutor(solver_time_limit=solver_time_limit)
     applied_seq = 0
     outbound.put(("ready", worker_id, None))
     while True:
@@ -188,9 +187,6 @@ class ElasticPoolExecutor(BatchExecutor):
     start_method:
         A :mod:`multiprocessing` start method or ``None`` for the
         platform default (``fork`` boots fastest where available).
-    jobs:
-        Intra-query parallelism budget per worker session; deployed
-        concurrency is ``live_workers × jobs``.
     idle_timeout_s:
         How long the pool must be completely idle before one surplus
         worker is asked to drain (one per interval, so scale-down is
@@ -208,7 +204,6 @@ class ElasticPoolExecutor(BatchExecutor):
         max_workers: int = 4,
         solver_time_limit: Optional[float] = None,
         start_method: Optional[str] = None,
-        jobs: Optional[object] = None,
         idle_timeout_s: float = 2.0,
         scale_interval_s: float = 0.02,
         drain_timeout: float = 10.0,
@@ -222,7 +217,6 @@ class ElasticPoolExecutor(BatchExecutor):
         self.min_workers = min_workers
         self.max_workers = max_workers
         self._solver_time_limit = solver_time_limit
-        self._session_jobs = jobs
         self._idle_timeout_s = idle_timeout_s
         self._scale_interval_s = scale_interval_s
         self._drain_timeout = drain_timeout
@@ -291,10 +285,7 @@ class ElasticPoolExecutor(BatchExecutor):
         worker_id = self._worker_seq
         process = self._context.Process(
             target=_elastic_worker_main,
-            args=(
-                self._inbound, self._outbound, worker_id,
-                self._solver_time_limit, self._session_jobs,
-            ),
+            args=(self._inbound, self._outbound, worker_id, self._solver_time_limit),
             name=f"repro-elastic-{worker_id}",
             daemon=True,
         )
@@ -428,8 +419,6 @@ class ElasticPoolExecutor(BatchExecutor):
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
         """Pool topology, backlog and the scale-event counters."""
-        from repro.parallel import resolve_jobs
-
         with self._lock:
             return {
                 "mode": "elastic",
@@ -439,7 +428,6 @@ class ElasticPoolExecutor(BatchExecutor):
                 "draining": self._draining,
                 "peak_workers": self._peak_workers,
                 "backlog": len(self._futures),
-                "jobs": resolve_jobs(self._session_jobs),
                 "start_method": self._context.get_start_method(),
                 "jobs_dispatched": self._jobs_dispatched,
                 "mutations_logged": len(self._mutation_log),

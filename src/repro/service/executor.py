@@ -202,14 +202,10 @@ class InlineExecutor(BatchExecutor):
         registry: Optional[DatasetRegistry] = None,
         solver_time_limit: Optional[float] = None,
         cache_results: bool = True,
-        jobs: Optional[object] = None,
     ):
         self.registry = registry if registry is not None else DatasetRegistry()
         self._solver_time_limit = solver_time_limit
         self._cache_results = cache_results
-        #: Parallelism budget handed to every session this executor opens
-        #: (``None`` defers to the dataset handle / ``REPRO_JOBS``).
-        self._jobs = jobs
         self._sessions: Dict[Tuple[str, str], StructurednessSession] = {}
         # Guards the session map: a ThreadingHTTPServer shares one inline
         # executor across handler threads, and a check-then-insert race
@@ -229,7 +225,6 @@ class InlineExecutor(BatchExecutor):
                     solver=request.solver,
                     solver_time_limit=self._solver_time_limit,
                     cache_results=self._cache_results,
-                    jobs=self._jobs,
                 )
             return session
 
@@ -252,11 +247,8 @@ class InlineExecutor(BatchExecutor):
         """Registry counters plus one entry per live session (with backend)."""
         with self._lock:
             sessions = list(self._sessions.values())
-        from repro.parallel import resolve_jobs
-
         return {
             "mode": "inline",
-            "jobs": resolve_jobs(self._jobs),
             "registry": dict(self.registry.stats),
             "sessions": [session.describe() for session in sessions],
         }
@@ -272,7 +264,6 @@ def create_executor(
     solver_time_limit: Optional[float] = None,
     registry: Optional[DatasetRegistry] = None,
     start_method: Optional[str] = None,
-    jobs: Optional[object] = None,
     max_workers: Optional[int] = None,
 ) -> BatchExecutor:
     """An executor sized to ``workers``: inline for 1, a process pool above.
@@ -285,16 +276,12 @@ def create_executor(
 
     A shared ``registry`` only makes sense in-process; pool workers build
     their own, so passing one together with a pool is an error rather
-    than a silent no-op.  ``jobs`` is each session's (or pool worker's)
-    intra-query parallelism budget — with a pool, every worker gets the
-    same budget, so total concurrency is ``workers × jobs``.
+    than a silent no-op.
     """
     floor = max(workers, 1)
     ceiling = max(floor, max_workers or floor)
     if ceiling == 1:
-        return InlineExecutor(
-            registry=registry, solver_time_limit=solver_time_limit, jobs=jobs
-        )
+        return InlineExecutor(registry=registry, solver_time_limit=solver_time_limit)
     if registry is not None:
         raise ValueError(
             "a shared DatasetRegistry applies only to inline execution (workers=1); "
@@ -307,5 +294,4 @@ def create_executor(
         max_workers=ceiling,
         solver_time_limit=solver_time_limit,
         start_method=start_method,
-        jobs=jobs,
     )

@@ -193,15 +193,11 @@ class DatasetRegistry:
         worker reports the same generation for the same spec.  Datasets
         reopened from a snapshot additionally carry a ``snapshot`` entry
         (path + on-disk format version) so ``/v1/datasets`` shows their
-        provenance, ``parallelism`` reports each handle's resolved
-        jobs/shards configuration so load tests can verify the deployed
-        topology, and ``residency`` breaks each built stage down into
+        provenance, and ``residency`` breaks each built stage down into
         heap-resident versus mmap-backed bytes (see
         :meth:`Dataset.residency`) so operators can see how much of a
         worker's data actually lives on disk.
         """
-        from repro.parallel import resolve_jobs
-
         with self._lock:
             entries = []
             for key, dataset in self._datasets.items():
@@ -211,10 +207,6 @@ class DatasetRegistry:
                     "generation": dataset.generation,
                     "table_built": dataset.stats["table_builds"] > 0
                     or dataset._table is not None,
-                    "parallelism": {
-                        "jobs": resolve_jobs(getattr(dataset, "jobs", None)),
-                        "shards": getattr(dataset, "shards", 1),
-                    },
                     "residency": dataset.residency(),
                 }
                 provenance = dataset.snapshot_provenance

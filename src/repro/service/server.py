@@ -43,6 +43,11 @@ Routes (all payloads JSON):
   of the stream.
 * ``GET /healthz`` — liveness probe.
 
+A client that stalls for 60 s in the middle of a request body (or
+idles that long on a keep-alive connection) is disconnected; a body cut
+short by a hangup or a stall gets no reply and is counted as
+``http.incomplete_bodies``.
+
 Every response envelope carries a per-request ``request_id`` (also the
 ``X-Request-Id`` header) and ``server_time_ms``; both live at the
 envelope's top level, so the deterministic ``result`` payloads stay
@@ -93,6 +98,10 @@ _NDJSON = "application/x-ndjson"
 #: Upper bound on accepted request bodies (inline N-Triples datasets are
 #: the legitimate large payload; 64 MiB is far above every test corpus).
 _MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Seconds any one read or write on a client socket may block.  A client
+#: that stalls mid-body (or idles on a keep-alive connection) this long
+#: is disconnected, so it cannot hold a handler thread forever.
+_SOCKET_TIMEOUT_S = 60.0
 
 
 class _BodyError(Exception):
@@ -108,16 +117,19 @@ class _BodyError(Exception):
         self.status = status
 
 
+class _ClientGone(Exception):
+    """The client stopped sending its body (hung up early or stalled)."""
+
+
 class StructurednessService:
     """The transport-independent request handling behind the HTTP routes."""
 
     def __init__(self, executor: Optional[BatchExecutor] = None, workers: int = 1,
-                 solver_time_limit: Optional[float] = None,
-                 jobs: Optional[object] = None, pending_limit: int = 64):
+                 solver_time_limit: Optional[float] = None, pending_limit: int = 64):
         if pending_limit < 1:
             raise ValueError(f"pending_limit must be >= 1, got {pending_limit}")
         self.executor = executor if executor is not None else create_executor(
-            workers=workers, solver_time_limit=solver_time_limit, jobs=jobs
+            workers=workers, solver_time_limit=solver_time_limit
         )
         self._lock = threading.Lock()
         #: Admission control: one slot per admitted-but-unfinished compute
@@ -341,6 +353,7 @@ class _Handler(BaseHTTPRequestHandler):
     # Derived from the package version so releases cannot drift it.
     server_version = f"repro-structuredness/{'.'.join(__version__.split('.')[:2])}"
     protocol_version = "HTTP/1.1"
+    timeout = _SOCKET_TIMEOUT_S
 
     @property
     def service(self) -> StructurednessService:
@@ -410,7 +423,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise _BodyError(
                 413, f"request body of {length} bytes exceeds the {_MAX_BODY_BYTES}-byte limit"
             )
-        return self.rfile.read(length) if length else b""
+        try:
+            body = self.rfile.read(length) if length else b""
+        except (TimeoutError, ConnectionError):
+            raise _ClientGone() from None
+        if len(body) < length:
+            raise _ClientGone()
+        return body
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         self._begin_request()
@@ -457,6 +476,10 @@ class _Handler(BaseHTTPRequestHandler):
                 self._respond(
                     404, {"ok": False, "error": {"type": "NotFound", "message": self.path}}
                 )
+        except _ClientGone:
+            # Nobody is left to read a reply: drop the connection quietly.
+            self.close_connection = True
+            self.service.telemetry.incr("http.incomplete_bodies")
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
             self._respond(400, error_result(RequestError(f"body is not valid JSON: {error}")))
         except _BodyError as error:
@@ -533,7 +556,9 @@ class _Handler(BaseHTTPRequestHandler):
         The response has no Content-Length: the connection closes when
         ``lines`` is exhausted, which is how JSONL consumers detect the
         end.  Every line is a blocking write, so a slow reader pauses
-        whatever produces ``lines``.  A failure *after* the headers went
+        whatever produces ``lines``; a reader stalled past the socket
+        timeout counts as a disconnect.  The 200 is counted in
+        ``http.status.2xx`` as soon as it is sent.  A failure *after* the headers went
         out is framed as a terminal ``{"kind": "error", ...}`` line (the
         HTTP status is already on the wire, so a 500 envelope would
         corrupt the response); ``kind`` names the telemetry counters
@@ -547,11 +572,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Connection", "close")
         self.end_headers()
         self.close_connection = True
+        telemetry.incr("http.status.2xx")
         ok = True
         try:
             for line in lines:
                 self._write_line(line)
-        except (BrokenPipeError, ConnectionResetError):  # client hangup
+        except (BrokenPipeError, ConnectionResetError, TimeoutError):  # client gone
             ok = False
             telemetry.incr(f"{kind}.client_disconnects")
         except Exception as error:
@@ -605,7 +631,6 @@ def make_server(
     solver_time_limit: Optional[float] = None,
     executor: Optional[BatchExecutor] = None,
     verbose: bool = False,
-    jobs: Optional[object] = None,
     max_workers: Optional[int] = None,
     pending_limit: int = 64,
 ) -> ServiceServer:
@@ -613,14 +638,12 @@ def make_server(
 
     ``workers``/``max_workers`` size the executor exactly as
     :func:`repro.service.executor.create_executor` does (ignored when an
-    ``executor`` is passed).  ``jobs`` sets each session's (or pool
-    worker's) intra-query parallelism budget; ``/v1/stats`` reports the
-    resolved value.  ``pending_limit`` bounds the admitted compute
-    requests; the next one gets ``429``.
+    ``executor`` is passed).  ``pending_limit`` bounds the admitted
+    compute requests; the next one gets ``429``.
     """
     if executor is None:
         executor = create_executor(
-            workers=workers, solver_time_limit=solver_time_limit, jobs=jobs,
+            workers=workers, solver_time_limit=solver_time_limit,
             max_workers=max_workers,
         )
     service = StructurednessService(executor=executor, pending_limit=pending_limit)
@@ -633,14 +656,13 @@ def serve(
     workers: int = 1,
     solver_time_limit: Optional[float] = None,
     verbose: bool = False,
-    jobs: Optional[object] = None,
     max_workers: Optional[int] = None,
     pending_limit: int = 64,
 ) -> int:
     """Run the HTTP service until interrupted (the ``repro serve`` command)."""
     server = make_server(
         host, port, workers=workers, solver_time_limit=solver_time_limit, verbose=verbose,
-        jobs=jobs, max_workers=max_workers, pending_limit=pending_limit,
+        max_workers=max_workers, pending_limit=pending_limit,
     )
     print(f"repro service listening on {server.url}", flush=True)
     try:

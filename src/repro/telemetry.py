@@ -1,8 +1,8 @@
 """A zero-dependency telemetry spine: counters, spans and latency histograms.
 
 Every hot path in the library — graph → matrix → table builds,
-``apply_delta`` patches, encoder assembly, solver calls, parallel
-executor dispatch, pool worker round-trips and snapshot save/load — is
+``apply_delta`` patches, encoder assembly, solver calls, pool worker
+round-trips and snapshot save/load — is
 instrumented against this module.  The design contract is *opt-in and
 free when off*:
 

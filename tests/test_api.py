@@ -40,27 +40,19 @@ from repro.ilp import (
     unregister_solver,
 )
 from repro.matrix.signatures import SignatureTable
-from repro.parallel import resolve_jobs
 from repro.rules import coverage as coverage_rule
 
 
 def assert_solver_call_count(actual: int, expected: int) -> None:
-    """Session solver calls vs the search's consumed probe count.
+    """Session solver calls equal the search's solver probes, exactly.
 
-    The invariant is ``solver_calls >= n_solver_probes``, always: the
-    speculative prober may solve upcoming (k, θ) probes the serial state
-    machine never consumes — those "speculative losers" are honest solver
-    calls the session's counting solver records, so the session can only
-    ever report *more* calls than consumed probes, never fewer.  Exact
-    equality is the serial special case (``jobs=1`` runs no speculation),
-    so it is additionally asserted when ``REPRO_JOBS`` resolves to 1.
+    Every probe the search makes is one it consumes, so the session's
+    counting solver can neither miss a call nor record a wasted one.
     """
-    assert actual >= expected, (
-        f"solver_calls ({actual}) < n_solver_probes ({expected}): the session "
+    assert actual == expected, (
+        f"solver_calls ({actual}) != n_solver_probes ({expected}): the session "
         "lost track of solver invocations"
     )
-    if resolve_jobs(None) <= 1:
-        assert actual == expected
 
 NTRIPLES = """
 <http://ex/a> <http://ex/p> "1" .
@@ -328,35 +320,6 @@ class TestThreadSafety:
         assert description["solver_spec"] == "branch-and-bound"
         assert description["solver"] == "branch-and-bound"
         assert description["stats"]["requests"] == 1
-        assert json.loads(json.dumps(description)) == description
-
-    def test_parallel_session_pins_solver_call_invariant(self, toy_persons_table):
-        """``solver_calls >= n_solver_probes`` is the invariant under jobs>1.
-
-        A parallel session's speculative prober may solve (k, θ) probes the
-        serial state machine never consumes; those speculative losers are
-        honest solver calls the session counts.  The result payload must
-        still be bit-identical to the serial run — speculation may only add
-        wasted solver calls, never change the answer — and ``describe()``
-        must report the deployed parallelism so load tests can verify the
-        topology.
-        """
-        serial = Dataset.from_table(toy_persons_table).session()
-        parallel = Dataset.from_table(toy_persons_table).session(jobs=2)
-        expected = serial.refine("Cov", k=2, step=0.05)
-        result = parallel.refine("Cov", k=2, step=0.05)
-        assert (result.theta, result.k) == (expected.theta, expected.k)
-        assert result.n_solver_probes == expected.n_solver_probes
-
-        stats = parallel.stats
-        assert result.n_solver_probes > 0
-        assert stats["solver_calls"] >= result.n_solver_probes
-        # The serial session has no speculation, so its count is exact.
-        assert serial.stats["solver_calls"] == expected.n_solver_probes
-
-        description = parallel.describe()
-        assert description["parallelism"] == {"jobs": 2, "shards": 1}
-        assert description["stats"]["solver_calls"] == stats["solver_calls"]
         assert json.loads(json.dumps(description)) == description
 
 

@@ -107,6 +107,11 @@ def _stream_watch(server, body, timeout=30):
     return response.status, headers, lines
 
 
+def _status_2xx(server):
+    """The server's ``http.status.2xx`` count, read without a request."""
+    return server.service.telemetry.snapshot()["counters"].get("http.status.2xx", 0)
+
+
 class TestRoutes:
     def test_healthz(self, server):
         status, payload = _request(server, "/healthz")
@@ -230,6 +235,9 @@ class TestErrorMapping:
             ("/v1/lowest_k", {"dataset": "dbpedia-persons", "theta": "3/-4"}, "denominator"),
             ("/v1/refine", {"dataset": "dbpedia-persons", "k": 0}, "k"),
             ("/v1/refine", {"dataset": "dbpedia-persons", "k": 2, "wat": 1}, "unknown"),
+            # The per-request parallelism field is gone from the wire format.
+            ("/v1/refine", {"dataset": "dbpedia-persons", "k": 2, "jobs": 2},
+             "unknown refine request fields: jobs"),
             ("/v1/evaluate", {"dataset": {"builtin": "nope"}}, "unknown built-in"),
             ("/v1/evaluate", {"dataset": "dbpedia-persons", "rule": "Nope"}, "unknown rule"),
         ],
@@ -381,10 +389,12 @@ class TestWatchStreaming:
         return inline_server
 
     def test_baseline_stream_emits_one_sigma_event_then_closes(self, server):
+        before = _status_2xx(server)
         status, headers, lines = _stream_watch(
             server, {"dataset": WATCH_DATASET, "max_events": 1, "duration_s": 30}
         )
         assert status == 200
+        assert _status_2xx(server) > before  # the streamed 200 is counted
         assert headers["Content-Type"] == "application/x-ndjson"
         assert "Content-Length" not in headers  # EOF marks the end
         [event] = lines
@@ -573,8 +583,10 @@ class TestStreamingBatch:
             {"not": "a request"},
             {"op": "evaluate", "dataset": DATASET, "request": {"rule": "Cov"}},
         ]
+        before = _status_2xx(server)
         status, headers, lines = self._stream(server, requests)
         assert status == 200
+        assert _status_2xx(server) > before  # the streamed 200 is counted
         assert headers["Content-Type"] == "application/x-ndjson"
         assert "Content-Length" not in headers  # EOF framing
         # The streamed lines are exactly the JSON route's results array.

@@ -12,6 +12,10 @@ Each class pins one bug the server used to ship:
 * a ``Content-Length`` that was not a non-negative integer answered 500
   (or, for ``-1``, blocked the handler reading until EOF), and a huge one
   500 instead of 413;
+* a body shorter than its ``Content-Length`` held a handler thread in
+  ``rfile.read`` for as long as the client kept the connection open, and
+  a client that then hung up got a 400 written into a dead socket (a
+  ``BrokenPipeError`` traceback on stderr);
 * the pool's ``close()`` called ``terminate()`` outright, killing
   in-flight jobs an orderly shutdown should have drained;
 * a graceful ``close()`` could count a forced termination (and signal an
@@ -35,6 +39,7 @@ import pytest
 
 from repro.exceptions import RequestError
 from repro.service import ElasticPoolExecutor, make_server
+from repro.service import server as server_module
 from repro.service.server import StructurednessService
 
 WATCH_DATASET = {
@@ -162,6 +167,60 @@ class TestContentLength:
         assert status == 413
         assert payload["ok"] is False and payload["status"] == 413
         assert "exceeds" in payload["error"]["message"]
+
+
+def _send_partial_body(server, declared, sent):
+    """A raw POST whose body stops after ``sent`` of ``declared`` bytes."""
+    host, port = server.url[len("http://"):].split(":")
+    sock = socket.create_connection((host, int(port)), timeout=10)
+    sock.sendall(
+        b"POST /v1/evaluate HTTP/1.1\r\nHost: %s\r\n"
+        b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s"
+        % (host.encode(), declared, sent)
+    )
+    return sock
+
+
+def _incomplete_bodies(server):
+    return server.service.telemetry.snapshot()["counters"].get("http.incomplete_bodies", 0)
+
+
+def _handler_threads():
+    return sum(1 for t in threading.enumerate() if "process_request_thread" in t.name)
+
+
+class TestIncompleteBodies:
+    """A body that never fully arrives ends the connection, without a reply."""
+
+    def test_short_body_then_hangup_is_dropped_without_a_traceback(self, live_server, capfd):
+        sock = _send_partial_body(live_server, 100, b'{"dataset": ')
+        sock.close()
+        deadline = time.monotonic() + 10
+        while _incomplete_bodies(live_server) < 1 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert _incomplete_bodies(live_server) == 1
+        assert live_server.service.counters["http_requests"] == 0  # no reply was sent
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_stalled_body_frees_its_thread_after_the_socket_timeout(
+        self, live_server, monkeypatch
+    ):
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.5)
+        baseline = _handler_threads()
+        started = time.monotonic()
+        sock = _send_partial_body(live_server, 100, b'{"dataset": ')
+        try:
+            # The client keeps the connection open; the server gives up on
+            # the body, closes its end and sends nothing.
+            assert sock.recv(4096) == b""
+        finally:
+            sock.close()
+        assert time.monotonic() - started < 5
+        deadline = time.monotonic() + 5
+        while _handler_threads() > baseline and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert _handler_threads() == baseline
+        assert _incomplete_bodies(live_server) == 1
 
 
 class _ExplodingWatch:

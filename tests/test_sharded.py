@@ -13,10 +13,9 @@ import zlib
 import pytest
 
 from repro.api import Dataset
-from repro.exceptions import DatasetError, RDFError
+from repro.exceptions import RDFError
 from repro.matrix.sharded import ShardedSignatureTable, shard_of_signature
 from repro.matrix.signatures import SignatureTable, signature_key
-from repro.parallel import ParallelExecutor
 from repro.rdf.namespaces import EX
 from repro.rdf.terms import Literal
 from repro.rules import coverage, similarity
@@ -83,8 +82,6 @@ class TestShardPartition:
         expected = rule_counts(rule, toy_persons_table)
         sharded = ShardedSignatureTable(toy_persons_table, n_shards)
         assert sharded.rule_counts(rule) == expected
-        with ParallelExecutor(jobs=4) as executor:
-            assert sharded.rule_counts(rule, executor=executor) == expected
 
     @pytest.mark.parametrize("n_shards", SHARD_GRID)
     def test_sigma_fraction_invariant(self, toy_persons_table, n_shards):
@@ -104,13 +101,13 @@ class TestShardPartition:
 
 class TestIncrementalRefresh:
     def test_mutation_rebuilds_only_dirty_shards(self):
-        dataset = Dataset.from_ntriples_text(NTRIPLES, name="sharded", shards=16)
-        before = dataset.sharded_table()
+        dataset = Dataset.from_ntriples_text(NTRIPLES, name="sharded")
+        before = dataset.sharded_table(16)
         assert before.stats["shards_built"] == 16
         # Touch one subject: only the shards holding its old/new signature
         # may rebuild; with 16 shards most must be reused object-identically.
         dataset.mutate(add=[("http://ex/d", "http://ex/p", Literal("8"))])
-        after = dataset.sharded_table()
+        after = dataset.sharded_table(16)
         assert after is not before
         assert after.stats["refreshes"] == 1
         assert after.stats["shards_reused"] > 0
@@ -121,13 +118,13 @@ class TestIncrementalRefresh:
         assert reused == after.stats["shards_reused"]
 
     def test_refreshed_view_equals_from_scratch(self):
-        dataset = Dataset.from_ntriples_text(NTRIPLES, name="sharded", shards=5)
-        dataset.sharded_table()
+        dataset = Dataset.from_ntriples_text(NTRIPLES, name="sharded")
+        dataset.sharded_table(5)
         dataset.mutate(
             add=[("http://ex/e", "http://ex/q", Literal("9"))],
             remove=[("http://ex/b", "http://ex/p", Literal("3"))],
         )
-        incremental = dataset.sharded_table()
+        incremental = dataset.sharded_table(5)
         scratch = ShardedSignatureTable(dataset.table, 5)
         assert incremental == scratch
         assert [s.counts() for s in incremental.shards] == [
@@ -139,12 +136,10 @@ class TestIncrementalRefresh:
     def test_counts_invariant_after_delta_across_shard_counts(self):
         expected = None
         for n_shards in SHARD_GRID:
-            dataset = Dataset.from_ntriples_text(
-                NTRIPLES, name=f"delta x{n_shards}", shards=n_shards
-            )
-            dataset.sharded_table()
+            dataset = Dataset.from_ntriples_text(NTRIPLES, name=f"delta x{n_shards}")
+            dataset.sharded_table(n_shards)
             dataset.mutate(add=[("http://ex/a", "http://ex/r", Literal("10"))])
-            counts = dataset.sharded_table().rule_counts(coverage())
+            counts = dataset.sharded_table(n_shards).rule_counts(coverage())
             if expected is None:
                 expected = counts
             assert counts == expected
@@ -153,37 +148,14 @@ class TestIncrementalRefresh:
 
 class TestDatasetIntegration:
     def test_sharded_table_is_cached_per_table_and_count(self, toy_persons_table):
-        dataset = Dataset.from_table(toy_persons_table, shards=3)
-        view = dataset.sharded_table()
+        dataset = Dataset.from_table(toy_persons_table)
+        view = dataset.sharded_table(3)
         assert view.n_shards == 3
-        assert dataset.sharded_table() is view
-        assert dataset.sharded_table(shards=5).n_shards == 5
+        assert dataset.sharded_table(3) is view
+        assert dataset.sharded_table(5).n_shards == 5
 
     def test_invalid_shards_rejected(self, toy_persons_table):
-        with pytest.raises(DatasetError):
-            Dataset.from_table(toy_persons_table, shards=0)
-        with pytest.raises(DatasetError):
-            Dataset.from_table(toy_persons_table, shards=True)
-
-    def test_session_evaluate_matches_unsharded(self, toy_persons_table):
-        plain = Dataset.from_table(toy_persons_table).session()
-        sharded = Dataset.from_table(toy_persons_table, shards=4, jobs=2).session()
-        for rule in ("Cov", "Sim"):
-            expected = plain.evaluate(rule, exact=True)
-            actual = sharded.evaluate(rule, exact=True)
-            assert actual.exact == expected.exact
-            assert actual.value == expected.value
-        sharded.close()
-        plain.close()
-
-    def test_registry_reports_parallelism(self, toy_persons_table, tmp_path):
-        from repro.service.registry import DatasetRegistry, DatasetSpec
-
-        path = tmp_path / "toy.nt"
-        path.write_text(NTRIPLES)
-        registry = DatasetRegistry()
-        registry.get(DatasetSpec(path=str(path)))
-        [entry] = registry.describe()
-        from repro.parallel import resolve_jobs
-
-        assert entry["parallelism"] == {"jobs": resolve_jobs(None), "shards": 1}
+        dataset = Dataset.from_table(toy_persons_table)
+        for bad in (0, -1):
+            with pytest.raises(RDFError):
+                dataset.sharded_table(bad)

@@ -225,4 +225,4 @@ class TestInstrumentedPaths:
         result = session.refine("Cov", k=2, step=0.25)
         assert result.n_solver_probes > 0
         spans = telemetry.snapshot()["spans"]
-        assert spans["ilp.solve"]["count"] >= result.n_solver_probes
+        assert spans["ilp.solve"]["count"] == result.n_solver_probes

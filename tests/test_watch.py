@@ -263,11 +263,7 @@ class TestWatchMechanics:
         with pytest.raises(RequestError):
             WatchSession(dataset, ("Cov",), shards=0)
 
-    def test_watch_defaults_to_dataset_shard_setting(self):
-        dataset = Dataset.from_ntriples_text(
-            '<http://x/a> <http://x/p> "1" .\n', name="sharded", shards=4
-        )
-        assert WatchSession(dataset).shards == 4
-        assert WatchSession(Dataset.from_ntriples_text(
-            '<http://x/a> <http://x/p> "1" .\n', name="unsharded"
-        )).shards == 16
+    def test_watch_defaults_to_16_shards(self):
+        dataset = Dataset.from_ntriples_text('<http://x/a> <http://x/p> "1" .\n', name="w")
+        assert WatchSession(dataset).shards == 16
+        assert WatchSession(dataset, shards=4).shards == 4
