@@ -6,11 +6,15 @@ rounds (500 subjects each lose their first triple and gain one with a
 brand-new property).  After every round both paths produce the same
 exact σ:
 
-* the *incremental* path is one ``watch.poll()`` tick — the dataset
-  patches its matrix/table with ``apply_delta``, the sharded signature
-  table rebuilds only dirty shards, and the watch recounts those shards;
+* the *incremental* path is the dataset's ``mutate`` — which patches its
+  matrix/table with ``apply_delta`` — followed by one ``watch.poll()``
+  tick, which evaluates σ on the patched table;
 * the *cold* path rebuilds the matrix → table chain from the mutated
   graph and counts σ from scratch, exactly what a fresh process would do.
+
+Each round records the tick (``t_incremental_s``) and, separately, the
+wall time of ``mutate`` with the watch attached (``t_mutate_s``): work a
+watch adds inside ``mutate`` would not show in the tick alone.
 
 Bit-identity of the exact fraction is asserted first; then the wall-clock
 gate: the incremental tick must be at least 10× faster than the cold
@@ -35,7 +39,6 @@ from repro.rules import coverage
 N_SUBJECTS = 50_000
 CHURN_FRACTION = 0.01
 ROUNDS = 3
-SHARDS = 16
 
 
 def _cold_sigma(graph, rule):
@@ -53,10 +56,10 @@ def test_bench_watch_incremental_vs_cold(bench_artifact, capsys):
     dataset = Dataset.from_graph(graph, name="yago-watch-bench")
     dataset.table  # realise the chain before the clock starts
 
-    watch = WatchSession(dataset, ("Cov",), shards=SHARDS)
+    watch = WatchSession(dataset, ("Cov",))
     events = []
     watch.subscribe(events.append)
-    watch.poll()  # baseline observation (all shards counted once)
+    watch.poll()  # baseline observation
 
     rule = coverage()
     n_touched = int(N_SUBJECTS * CHURN_FRACTION)
@@ -64,10 +67,9 @@ def test_bench_watch_incremental_vs_cold(bench_artifact, capsys):
     best_cold = best_incremental = float("inf")
     for round_no in range(1, ROUNDS + 1):
         # Hot-region churn: consecutive subjects share signatures (the
-        # synthetic generator groups them), so the delta dirties a handful
-        # of shards and the watch's shard reuse is visible in the stats.
-        # The added property already exists in the universe — a brand-new
-        # property would widen every signature and dirty all shards.
+        # synthetic generator groups them), so the delta touches a handful
+        # of signatures.  The added property already exists in the
+        # universe — a brand-new property would widen every signature.
         subjects = dataset.matrix.subjects
         offset = (round_no - 1) * n_touched
         touched = subjects[offset:offset + n_touched]
@@ -77,7 +79,9 @@ def test_bench_watch_incremental_vs_cold(bench_artifact, capsys):
             (s, hot_property, Literal(f"r{round_no}x{i}"))
             for i, s in enumerate(touched)
         ]
+        start = time.perf_counter()
         dataset.mutate(add=add, remove=remove)
+        t_mutate = time.perf_counter() - start
 
         events.clear()
         start = time.perf_counter()
@@ -100,10 +104,9 @@ def test_bench_watch_incremental_vs_cold(bench_artifact, capsys):
             "subjects_touched": len(touched),
             "triples_removed": len(remove),
             "sigma_exact": event.sigma,
-            "shards_recounted": event.shards_recounted,
-            "shards_reused": event.shards_reused,
             "t_cold_s": t_cold,
             "t_incremental_s": t_incremental,
+            "t_mutate_s": t_mutate,
             "speedup": t_cold / t_incremental if t_incremental > 0 else float("inf"),
         })
 
@@ -111,7 +114,6 @@ def test_bench_watch_incremental_vs_cold(bench_artifact, capsys):
     bench_artifact("watch", {
         "n_subjects": N_SUBJECTS,
         "churn_fraction": CHURN_FRACTION,
-        "shards": SHARDS,
         "rounds": rounds,
         "best_cold_s": best_cold,
         "best_incremental_s": best_incremental,

@@ -25,7 +25,6 @@ from repro.exceptions import DatasetError, RequestError
 from repro.api.requests import MutationRequest
 from repro.api.results import DatasetInfo, MutationResult
 from repro.matrix.property_matrix import PropertyMatrix
-from repro.matrix.sharded import ShardedSignatureTable
 from repro.matrix.signatures import SignatureTable
 from repro.rdf.graph import RDFGraph
 from repro.rdf.ntriples import load_ntriples, parse_ntriples
@@ -119,7 +118,6 @@ class Dataset:
         #: :class:`~repro.telemetry.Telemetry` to scope collection to this
         #: handle.  A plain attribute — adjust after construction if needed.
         self.telemetry = telemetry
-        self._sharded: Optional[ShardedSignatureTable] = None
         self._graph_factory = graph_factory
         # A deferred generator producing either a SignatureTable or an
         # RDFGraph (Dataset.builtin); run at most once, on first access.
@@ -520,23 +518,6 @@ class Dataset:
                 self.stats["table_builds"] += 1
             return self._table
 
-    def sharded_table(self, shards: int) -> ShardedSignatureTable:
-        """The signature table folded into ``shards`` content-hash shards.
-
-        Built once per (table, shard count) and cached; mutations refresh
-        the cached view incrementally (only the dirty shards are rebuilt —
-        see :meth:`ShardedSignatureTable.refreshed`).
-        """
-        with self._lock:
-            table = self.table
-            if (
-                self._sharded is None
-                or self._sharded.table is not table
-                or self._sharded.n_shards != shards
-            ):
-                self._sharded = ShardedSignatureTable(table, shards)
-            return self._sharded
-
     @property
     def info(self) -> DatasetInfo:
         """Serialisable identifying statistics (forces the table build)."""
@@ -620,16 +601,6 @@ class Dataset:
                             # No per-subject provenance to patch from: drop
                             # the stage and let the next access rebuild it.
                             self._table = None
-                    if self._sharded is not None:
-                        if table_patched:
-                            # Incremental re-shard: only the shards whose
-                            # signatures the delta touched are rebuilt.
-                            with telemetry.span("dataset.shard_refresh"):
-                                self._sharded = self._sharded.refreshed(
-                                    self._table, subjects=delta.subjects
-                                )
-                        else:
-                            self._sharded = None
                     # Counted only once the whole chain patched: a patch
                     # that was discarded by the failure path below must not
                     # inflate the zero-redundant-build accounting.
@@ -644,7 +615,6 @@ class Dataset:
                     # mutated graph, and count the event.
                     self._matrix = None
                     self._table = None
-                    self._sharded = None
                     self.stats["patch_failures"] += 1
                     telemetry.incr("dataset.patch_failures")
             return MutationResult(

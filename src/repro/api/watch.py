@@ -7,26 +7,17 @@ subscribes to a :class:`~repro.api.dataset.Dataset` and, every time the
 dataset's mutation generation advances, re-derives the watched
 quantities **incrementally** and emits typed :class:`WatchEvent`\\ s.
 
-The incremental engine is the sharded signature table
-(:class:`~repro.matrix.sharded.ShardedSignatureTable`): mutations refresh
-only the shards whose signatures the delta touched, and the watch keeps
-a per-shard aggregate cache keyed on shard *identity* — an untouched
-shard's contribution is reused without recounting a single signature.
-Per rule the cached aggregate is:
-
-* one-variable rules (σCov, σDep shapes, any custom single-variable
-  rule): the shard's exact ``(total, favourable)`` case counts, merged
-  by integer addition;
-* the σSim shape (two variables, recognised structurally): the shard's
-  subject count and property-count vector — sufficient statistics whose
-  sums reproduce the closed form exactly;
-* any other multi-variable rule: no shard decomposition exists
-  (assignments span shards), so the watch falls back to a whole-table
-  recount and reports it honestly (``full_recount``).
-
-Every σ is an exact :class:`~fractions.Fraction`, so watch values are
-bit-identical to a fresh-dataset recompute — the differential harness in
-``tests/test_watch.py`` pins that over hundreds of mutation scenarios.
+σ is computed on the dataset's own signature table, which mutations keep
+exact by patching it instead of rebuilding it
+(:meth:`~repro.matrix.signatures.SignatureTable.apply_delta`): each
+watched rule resolves once to the
+:class:`~repro.functions.structuredness.StructurednessFunction` that
+:meth:`~repro.api.session.StructurednessSession.evaluate` uses (the
+closed forms for Cov, Sim, Dep and SymDep, signature-level rule counting
+for anything else), and every observation evaluates it on the patched
+table.  Every σ is an exact :class:`~fractions.Fraction`, so watch values
+are bit-identical to a fresh-dataset recompute — the differential harness
+in ``tests/test_watch.py`` pins that over a hundred mutation scenarios.
 
 With a ``theta`` threshold the watch additionally tracks the lowest-k
 refinement per rule through an internal
@@ -45,9 +36,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.api.dataset import Dataset
 from repro.api.requests import parse_theta
 from repro.api.session import resolve_rule
-from repro.exceptions import RequestError
-from repro.matrix.sharded import ShardedSignatureTable
-from repro.rules import library
+from repro.functions.structuredness import StructurednessFunction, best_function_for_rule
+from repro.matrix.signatures import SignatureTable
 from repro.rules.ast import Rule
 from repro.telemetry import current as current_telemetry
 
@@ -79,9 +69,6 @@ class WatchEvent:
     value: Optional[float] = None
     previous_sigma: Optional[str] = None
     changed: bool = False
-    shards_recounted: int = 0
-    shards_reused: int = 0
-    full_recount: bool = False
     theta: Optional[str] = None
     k: Optional[int] = None
     previous_k: Optional[int] = None
@@ -99,9 +86,6 @@ class WatchEvent:
             "value": self.value,
             "previous_sigma": self.previous_sigma,
             "changed": self.changed,
-            "shards_recounted": self.shards_recounted,
-            "shards_reused": self.shards_reused,
-            "full_recount": self.full_recount,
             "theta": self.theta,
             "k": self.k,
             "previous_k": self.previous_k,
@@ -111,73 +95,14 @@ class WatchEvent:
 
 
 class _RuleState:
-    """Per-rule incremental σ state: the shard-aggregate cache."""
+    """Per-rule watch state: the σ function and the last observed values."""
 
-    __slots__ = ("label", "rule", "kind", "cache", "last_sigma", "last_k")
+    __slots__ = ("function", "last_sigma", "last_k")
 
-    def __init__(self, label: str, rule: Rule):
-        self.label = label
-        self.rule = rule
-        sim = library.similarity()
-        if len(rule.variables()) == 1:
-            self.kind = "one_var"
-        elif rule.antecedent == sim.antecedent and rule.consequent == sim.consequent:
-            self.kind = "similarity"
-        else:
-            self.kind = "full"
-        # shard index -> (shard table object, aggregate payload); the
-        # shard object is kept so the identity check stays valid (a
-        # collected shard's id() could be recycled by a new object).
-        self.cache: Dict[int, tuple] = {}
+    def __init__(self, rule: Rule):
+        self.function: StructurednessFunction = best_function_for_rule(rule)
         self.last_sigma: Optional[Fraction] = None
         self.last_k: Optional[int] = None
-
-    def _count_shard(self, shard) -> tuple:
-        if self.kind == "one_var":
-            from repro.rules.counting import rule_counts
-
-            return rule_counts(self.rule, shard)
-        # similarity: sufficient statistics (subjects, per-property counts)
-        return (shard.n_subjects, shard.property_count_vector())
-
-    def _merge(self, payloads: List[tuple]) -> Fraction:
-        if self.kind == "one_var":
-            total = sum(t for t, _f in payloads)
-            favourable = sum(f for _t, f in payloads)
-        else:
-            n_subjects = sum(n for n, _v in payloads)
-            merged = None
-            for _n, vector in payloads:
-                merged = vector.copy() if merged is None else merged + vector
-            if merged is None:
-                return Fraction(1)
-            total = int(merged.sum()) * (n_subjects - 1)
-            favourable = int(merged @ (merged - 1))
-        if total <= 0:
-            return Fraction(1)
-        return Fraction(favourable, total)
-
-    def recount(self, sharded: ShardedSignatureTable) -> Tuple[Fraction, int, int, bool]:
-        """σ over ``sharded``: ``(sigma, shards_recounted, shards_reused, full)``."""
-        if self.kind == "full":
-            from repro.rules.counting import sigma_by_signatures_fraction
-
-            return sigma_by_signatures_fraction(self.rule, sharded.table), 0, 0, True
-        recounted = reused = 0
-        payloads: List[tuple] = []
-        cache: Dict[int, tuple] = {}
-        for index, shard in enumerate(sharded.shards):
-            entry = self.cache.get(index)
-            if entry is not None and entry[0] is shard:
-                payload = entry[1]
-                reused += 1
-            else:
-                payload = self._count_shard(shard)
-                recounted += 1
-            cache[index] = (shard, payload)
-            payloads.append(payload)
-        self.cache = cache
-        return self._merge(payloads), recounted, reused, False
 
 
 class WatchSession:
@@ -198,15 +123,11 @@ class WatchSession:
         the lowest-k refinement per rule (through an internal session)
         and emits a ``drift`` event whenever the smallest k reaching θ
         changes.
-    shards:
-        Shard count for the incremental σ recounts (``None`` means 16).
     solver / solver_time_limit:
         Forwarded to the internal session used for lowest-k tracking.
 
-    ``stats`` counts polls, observations, events, alerts, shard
-    recounts/reuses, full recounts, heartbeats and listener errors, so
-    tests (and ``/v1/metrics`` consumers) can prove the incremental path
-    is actually taken.
+    ``stats`` counts polls, observations, events, alerts, heartbeats
+    and listener errors.
     """
 
     def __init__(
@@ -215,16 +136,10 @@ class WatchSession:
         rules=("Cov",),
         *,
         theta=None,
-        shards: Optional[int] = None,
         solver: object = None,
         solver_time_limit: Optional[float] = None,
     ):
         self.dataset = dataset
-        if shards is None:
-            shards = 16
-        if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-            raise RequestError(f"shards must be a positive integer, got {shards!r}")
-        self.shards = shards
         self.theta: Optional[Fraction] = parse_theta(theta) if theta is not None else None
         self._session = (
             dataset.session(solver=solver, solver_time_limit=solver_time_limit)
@@ -240,9 +155,6 @@ class WatchSession:
             "events": 0,
             "alerts": 0,
             "heartbeats": 0,
-            "shard_recounts": 0,
-            "shard_reuses": 0,
-            "full_recounts": 0,
             "listener_errors": 0,
         }
         self._lock = threading.RLock()
@@ -259,7 +171,7 @@ class WatchSession:
         key = key or rule.name or rule.to_text()
         with self._lock:
             if key not in self._rules:
-                self._rules[key] = _RuleState(key, rule)
+                self._rules[key] = _RuleState(rule)
         return key
 
     def subscribe(self, callback: Callable[[WatchEvent], None]) -> None:
@@ -283,24 +195,24 @@ class WatchSession:
     def poll(self) -> List[WatchEvent]:
         """Check the dataset generation; observe and emit if it advanced.
 
-        The first poll always observes (the baseline): it primes the
-        shard-aggregate caches and emits one ``sigma`` event per rule, so
-        consumers see the starting point before any drift.  Subsequent
-        polls return ``[]`` until a mutation bumps the generation.
+        The first poll always observes (the baseline): it emits one
+        ``sigma`` event per rule, so consumers see the starting point
+        before any drift.  Subsequent polls return ``[]`` until a
+        mutation bumps the generation.
         """
         with self._lock:
             self.stats["polls"] += 1
-            # Re-read until generation and sharded view agree: a mutation
-            # landing between the two reads must not pin a newer table to
-            # an older generation number.
+            # Re-read until generation and table agree: a mutation landing
+            # between the two reads must not pin a newer table to an older
+            # generation number.
             while True:
                 generation = self.dataset.generation
-                sharded = self.dataset.sharded_table(self.shards)
+                table = self.dataset.table
                 if self.dataset.generation == generation:
                     break
             if self._last_generation is not None and generation == self._last_generation:
                 return []
-            events = self._observe(generation, sharded)
+            events = self._observe(generation, table)
             self._last_generation = generation
             self._emit(events)
             return events
@@ -315,16 +227,13 @@ class WatchSession:
                 generation=self.dataset.generation,
             )
 
-    def _observe(self, generation: int, sharded: ShardedSignatureTable) -> List[WatchEvent]:
+    def _observe(self, generation: int, table: SignatureTable) -> List[WatchEvent]:
         telemetry = current_telemetry()
         self.stats["observations"] += 1
         events: List[WatchEvent] = []
         with telemetry.span("watch.observe"):
             for label, state in self._rules.items():
-                sigma, recounted, reused, full = state.recount(sharded)
-                self.stats["shard_recounts"] += recounted
-                self.stats["shard_reuses"] += reused
-                self.stats["full_recounts"] += int(full)
+                sigma = state.function.evaluate_fraction(table)
                 previous = state.last_sigma
                 state.last_sigma = sigma
                 events.append(
@@ -337,9 +246,6 @@ class WatchSession:
                         value=float(sigma),
                         previous_sigma=_fraction_text(previous),
                         changed=previous is None or sigma != previous,
-                        shards_recounted=recounted,
-                        shards_reused=reused,
-                        full_recount=full,
                     )
                 )
                 if self.theta is not None:
@@ -350,7 +256,7 @@ class WatchSession:
     def _track_lowest_k(
         self, label: str, state: _RuleState, generation: int, sigma: Fraction
     ) -> List[WatchEvent]:
-        result = self._session.lowest_k(state.rule, theta=self.theta)
+        result = self._session.lowest_k(state.function.rule, theta=self.theta)
         previous_k, state.last_k = state.last_k, result.k
         if previous_k is None or result.k == previous_k:
             return []
@@ -386,14 +292,13 @@ class WatchSession:
     # Introspection
     # ------------------------------------------------------------------ #
     def describe(self) -> Dict[str, object]:
-        """Serialisable watch facts: dataset, rules, θ, shards and counters."""
+        """Serialisable watch facts: dataset, rules, θ and counters."""
         with self._lock:
             return {
                 "dataset": self.dataset.name,
                 "generation": self.dataset.generation,
                 "rules": list(self._rules),
                 "theta": _fraction_text(self.theta),
-                "shards": self.shards,
                 "stats": dict(self.stats),
             }
 
@@ -403,7 +308,4 @@ class WatchSession:
             self._session.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<WatchSession dataset={self.dataset.name!r} rules={list(self._rules)} "
-            f"shards={self.shards}>"
-        )
+        return f"<WatchSession dataset={self.dataset.name!r} rules={list(self._rules)}>"

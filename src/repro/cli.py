@@ -173,9 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--theta", help="also track the lowest-k refinement at this threshold (e.g. 3/4)"
     )
     watch.add_argument(
-        "--shards", type=int, default=None, help="signature-table shard count (default 16)"
-    )
-    watch.add_argument(
         "--replay",
         default="-",
         help="JSONL mutation stream ({\"add\": [[s,p,o],...], \"remove\": [...]} per line); "
@@ -494,13 +491,10 @@ def _render_watch_event(event) -> str:
         )
     if event.kind == "heartbeat":
         return f"gen {event.generation:>4}  (idle)"
-    reuse = f"shards {event.shards_recounted} recounted / {event.shards_reused} reused"
-    if event.full_recount:
-        reuse = "full recount"
     marker = "*" if event.changed else " "
     return (
         f"gen {event.generation:>4} {marker}{event.rule}: sigma={event.sigma} "
-        f"({event.value:.4f})  [{reuse}]"
+        f"({event.value:.4f})"
     )
 
 
@@ -512,9 +506,7 @@ def _command_watch(args: argparse.Namespace) -> int:
     dataset = Dataset.from_ntriples(args.path, sort=args.sort)
     theta = _parse_theta_arg(args.theta) if args.theta else None
     try:
-        watch = WatchSession(
-            dataset, tuple(args.rule or ("Cov",)), theta=theta, shards=args.shards
-        )
+        watch = WatchSession(dataset, tuple(args.rule or ("Cov",)), theta=theta)
     except RequestError as error:
         raise SystemExit(f"watch: {error}")
 
@@ -547,8 +539,7 @@ def _command_watch(args: argparse.Namespace) -> int:
         stats = watch.stats
         print(
             f"-- {stats['observations']} observations, {stats['events']} events, "
-            f"{stats['alerts']} drift alerts; shards {stats['shard_recounts']} recounted "
-            f"/ {stats['shard_reuses']} reused",
+            f"{stats['alerts']} drift alerts",
             file=sys.stderr,
         )
     return 0

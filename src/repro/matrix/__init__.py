@@ -2,15 +2,12 @@
 
 from repro.matrix.horizontal import render_refinement, render_signature_table
 from repro.matrix.property_matrix import PropertyMatrix
-from repro.matrix.sharded import ShardedSignatureTable, shard_of_signature
 from repro.matrix.signatures import Signature, SignatureTable, signature_key
 
 __all__ = [
     "PropertyMatrix",
     "Signature",
     "SignatureTable",
-    "ShardedSignatureTable",
-    "shard_of_signature",
     "signature_key",
     "render_signature_table",
     "render_refinement",

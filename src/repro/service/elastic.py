@@ -459,7 +459,7 @@ class ElasticPoolExecutor(BatchExecutor):
         for process in workers:
             if not _has_exited(process):
                 self.telemetry.incr("scale.forced_terminations")
-                current_telemetry().incr("pool.forced_terminations")
+                current_telemetry().incr("scale.forced_terminations")
                 process.terminate()
                 process.join(timeout=5)
         # The collector drains remaining acks, then stops on the sentinel.

@@ -297,7 +297,7 @@ class StructurednessService:
         if "dataset" not in body:
             raise RequestError("a watch body needs a 'dataset' spec")
         known = {
-            "dataset", "rules", "theta", "shards",
+            "dataset", "rules", "theta",
             "max_events", "duration_s", "poll_interval_s", "heartbeat_s",
         }
         unknown = set(body) - known
@@ -339,9 +339,7 @@ class StructurednessService:
                     f"numbers, got {field}={value!r}"
                 )
         dataset = registry.get(DatasetSpec.from_dict(body["dataset"]))
-        watch = WatchSession(
-            dataset, tuple(rules), theta=body.get("theta"), shards=body.get("shards")
-        )
+        watch = WatchSession(dataset, tuple(rules), theta=body.get("theta"))
         return watch, params
 
     def close(self) -> None:

@@ -46,13 +46,15 @@ REPRO_TRACE_ENV = "REPRO_TRACE"
 
 #: Histogram bucket upper bounds, in milliseconds (the last bucket is
 #: open-ended).  A fixed log-ish scale keeps snapshots comparable across
-#: runs and machines; the labels are zero-padded so sorted keys render
-#: in bucket order.
-_BUCKET_BOUNDS_MS = (1.0, 5.0, 25.0, 100.0, 500.0, 2500.0)
+#: runs and machines; the sub-millisecond bounds separate sub-ms spans
+#: such as a watch observation.  The labels are fixed-width and
+#: zero-padded (``le_000000.1ms`` … ``le_002500.0ms``) so sorted keys
+#: render in bucket order.
+_BUCKET_BOUNDS_MS = (0.1, 0.5, 1.0, 5.0, 25.0, 100.0, 500.0, 2500.0)
 
 
 def _bucket_labels() -> List[str]:
-    labels = [f"le_{int(bound):06d}ms" for bound in _BUCKET_BOUNDS_MS]
+    labels = [f"le_{bound:08.1f}ms" for bound in _BUCKET_BOUNDS_MS]
     labels.append("le_inf")
     return labels
 

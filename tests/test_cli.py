@@ -249,6 +249,26 @@ class TestServeCommand:
         assert served == []
 
 
+class TestWatchCommand:
+    def test_replay_prints_one_line_per_observation(self, persons_file, tmp_path, capsys):
+        replay = tmp_path / "deltas.jsonl"
+        replay.write_text(
+            '{"add": [["http://example.org/sX", "http://example.org/p1", "\\"1\\""]]}\n'
+        )
+        assert main(["watch", persons_file, "--replay", str(replay)]) == 0
+        captured = capsys.readouterr()
+        baseline, live = captured.out.splitlines()
+        assert baseline.startswith("gen    0 *Cov: sigma=")
+        assert live.startswith("gen    1 *Cov: sigma=")
+        assert "2 observations, 2 events, 0 drift alerts" in captured.err
+
+    def test_removed_shards_flag_is_rejected(self, persons_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["watch", persons_file, "--shards", "4", "--replay", "/dev/null"])
+        assert excinfo.value.code == 2  # an argparse usage error
+        assert "unrecognized arguments: --shards 4" in capsys.readouterr().err
+
+
 class TestSnapshotCommand:
     def test_version_flag(self, capsys):
         from repro import __version__

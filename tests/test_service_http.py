@@ -462,6 +462,8 @@ class TestWatchStreaming:
             ({"dataset": WATCH_DATASET, "rules": []}, "non-empty"),
             ({"dataset": WATCH_DATASET, "duration_s": 0}, "positive"),
             ({"dataset": WATCH_DATASET, "heartbeat_s": -1}, "positive"),
+            # The shard-count knob is gone with the sharded table view.
+            ({"dataset": WATCH_DATASET, "shards": 4}, "unknown watch fields ['shards']"),
         ],
     )
     def test_bad_watch_bodies_are_400_envelopes(self, server, body, fragment):

@@ -37,10 +37,12 @@ import urllib.request
 
 import pytest
 
+from repro import telemetry as telemetry_module
 from repro.exceptions import RequestError
 from repro.service import ElasticPoolExecutor, make_server
 from repro.service import server as server_module
 from repro.service.server import StructurednessService
+from repro.telemetry import Telemetry
 
 WATCH_DATASET = {
     "ntriples": '<http://r/a> <http://r/p> "1" .\n'
@@ -401,9 +403,11 @@ class TestPoolShutdown:
             assert counters.get("scale.forced_terminations", 0) == 0, round_
             assert counters["scale.worker_drains"] == 1
 
-    def test_worker_stuck_past_drain_timeout_is_terminated(self, tmp_path):
+    def test_worker_stuck_past_drain_timeout_is_terminated(self, tmp_path, monkeypatch):
         fifo = tmp_path / "never-written.nt"
         os.mkfifo(fifo)
+        process_spine = Telemetry()
+        monkeypatch.setattr(telemetry_module, "_active", process_spine)
         executor = ElasticPoolExecutor(min_workers=1, max_workers=1, drain_timeout=0.5)
         outcome = []
 
@@ -425,6 +429,8 @@ class TestPoolShutdown:
         assert elapsed < 8, elapsed
         counters = executor.telemetry.snapshot()["counters"]
         assert counters["scale.forced_terminations"] == 1
+        # The process spine names the event as the pool's own spine does.
+        assert process_spine.counters()["scale.forced_terminations"] == 1
         [error] = outcome  # the abandoned job fails instead of hanging its caller
         assert isinstance(error, RuntimeError) and "closed" in str(error)
 

@@ -57,17 +57,27 @@ class TestTelemetryInstance:
 
     def test_histogram_buckets_partition_observations(self):
         telemetry = Telemetry()
-        telemetry.observe("stage", 0.0004)   # 0.4ms  -> le_000001ms
-        telemetry.observe("stage", 0.004)    # 4ms    -> le_000005ms
-        telemetry.observe("stage", 0.080)    # 80ms   -> le_000100ms
+        telemetry.observe("stage", 0.00005)  # 0.05ms -> le_000000.1ms
+        telemetry.observe("stage", 0.0002)   # 0.2ms  -> le_000000.5ms
+        telemetry.observe("stage", 0.0008)   # 0.8ms  -> le_000001.0ms
+        telemetry.observe("stage", 0.004)    # 4ms    -> le_000005.0ms
+        telemetry.observe("stage", 0.080)    # 80ms   -> le_000100.0ms
         telemetry.observe("stage", 9.0)      # 9000ms -> le_inf
         buckets = telemetry.snapshot()["spans"]["stage"]["buckets"]
-        assert buckets["le_000001ms"] == 1
-        assert buckets["le_000005ms"] == 1
-        assert buckets["le_000100ms"] == 1
+        assert buckets["le_000000.1ms"] == 1
+        assert buckets["le_000000.5ms"] == 1
+        assert buckets["le_000001.0ms"] == 1
+        assert buckets["le_000005.0ms"] == 1
+        assert buckets["le_000100.0ms"] == 1
         assert buckets["le_inf"] == 1
         # Every observation lands in exactly one bucket.
-        assert sum(buckets.values()) == 4
+        assert sum(buckets.values()) == 6
+        # Sorted labels are bucket order: 0.1 ms first, the open bucket last.
+        assert sorted(buckets) == list(buckets) == [
+            "le_000000.1ms", "le_000000.5ms", "le_000001.0ms", "le_000005.0ms",
+            "le_000025.0ms", "le_000100.0ms", "le_000500.0ms", "le_002500.0ms",
+            "le_inf",
+        ]
 
     def test_span_context_manager_records_wall_time(self):
         telemetry = Telemetry()

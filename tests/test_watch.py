@@ -1,14 +1,14 @@
 """The live watch: differential correctness and incremental behaviour.
 
-The load-bearing guarantee is *bit-identical σ under incremental
-recounting*: every ``sigma`` event a :class:`~repro.api.WatchSession`
+The load-bearing guarantee is *bit-identical σ on the incrementally
+patched table*: every ``sigma`` event a :class:`~repro.api.WatchSession`
 emits after a mutation must carry exactly the fraction a fresh dataset —
 rebuilt from the mutated graph with no caches — would report.  The
 differential harness below drives well over one hundred random mutation
-scenarios through that check, for a one-variable rule (per-shard count
-merging), Sim (per-shard sufficient statistics) and a custom
-multi-variable rule (the honest full-recount fallback); a second harness
-does the same for θ-tracked lowest-k results.
+scenarios through that check, for every σ path the watch takes: the
+closed forms for Cov, Sim and Dep, and signature-level rule counting for
+a custom multi-variable rule; a second harness does the same for
+θ-tracked lowest-k results.
 """
 
 from __future__ import annotations
@@ -18,15 +18,19 @@ import random
 import pytest
 
 from repro.api import Dataset, WatchSession
-from repro.exceptions import RequestError
 from repro.functions.structuredness import sigma_by_signatures_fraction
+from repro.rules import library
 from repro.rdf.terms import Literal, Triple, URI
 from repro.rules.parser import parse_rule
 from repro.api.session import resolve_rule
 
-#: A 2-variable rule that is *not* Sim: the watch has no shard
-#: decomposition for it and must fall back to whole-table recounts.
+#: A 2-variable rule that is *not* Sim: no closed form matches it, so the
+#: watch evaluates it by signature-level rule counting.
 FULL_RULE_TEXT = "not (c1 = c2) and prop(c1) = prop(c2) -> val(c1) = val(c2)"
+
+#: A Dep[p1, p2]-shaped rule over two of the random graphs' properties:
+#: the watch resolves it to the σDep closed form.
+DEP_RULE_TEXT = library.dependency("http://w/p0", "http://w/p1").to_text()
 
 
 def _random_graph_triples(rng: random.Random, n_subjects: int, n_properties: int):
@@ -74,21 +78,27 @@ class TestDifferentialSigma:
         from repro.rdf.graph import RDFGraph
 
         dataset = Dataset.from_graph(RDFGraph(triples, name=f"diff-{seed}"))
-        watch = WatchSession(dataset, ("Cov", "Sim", FULL_RULE_TEXT), shards=8)
+        watch = WatchSession(dataset, ("Cov", "Sim", DEP_RULE_TEXT, FULL_RULE_TEXT))
         rules = {
             "Cov": resolve_rule("Cov"),
             "Sim": resolve_rule("Sim"),
+            DEP_RULE_TEXT: parse_rule(DEP_RULE_TEXT),
             FULL_RULE_TEXT: parse_rule(FULL_RULE_TEXT),
         }
+        # Each rule takes a different σ path: three closed forms and the
+        # rule-counting fallback.
+        assert [watch._rules[label].function.name for label in rules] == [
+            "Cov", "Sim", "Dep[p0, p1]", FULL_RULE_TEXT,
+        ]
 
         baseline = watch.poll()
-        assert len(baseline) == 3
+        assert len(baseline) == len(rules)
         for event in baseline:
             assert event.sigma == _fresh_sigma(dataset, rules[event.rule])
 
         scenarios = 0
         # 12 mutation rounds per seed × 10 seeds = 120 mutation scenarios,
-        # each checked differentially for all three rule shapes.
+        # each checked differentially for all four rule shapes.
         for _ in range(12):
             add, remove = _random_mutation(rng, dataset, n_properties=6)
             result = dataset.mutate(add=add, remove=remove)
@@ -105,11 +115,6 @@ class TestDifferentialSigma:
                     f"seed {seed}: incremental σ for {event.rule!r} drifted "
                     f"from the fresh recompute at generation {event.generation}"
                 )
-                if event.rule == FULL_RULE_TEXT:
-                    assert event.full_recount
-                else:
-                    assert not event.full_recount
-                    assert event.shards_recounted + event.shards_reused == 8
         assert scenarios >= 8  # the vast majority of random batches are real
         watch.close()
 
@@ -122,7 +127,7 @@ class TestDifferentialLowestK:
         from repro.rdf.graph import RDFGraph
 
         dataset = Dataset.from_graph(RDFGraph(triples, name="theta-diff"))
-        watch = WatchSession(dataset, ("Cov",), theta="3/4", shards=8)
+        watch = WatchSession(dataset, ("Cov",), theta="3/4")
         watch.poll()
 
         for round_no in range(8):
@@ -202,14 +207,19 @@ class TestWatchMechanics:
         assert watch.poll() == []  # nothing moved
         assert watch.stats["polls"] == 2 and watch.stats["observations"] == 1
 
-    def test_incremental_poll_reuses_clean_shards(self, dataset):
-        watch = WatchSession(dataset, ("Cov",), shards=16)
+    def test_watch_sigma_equals_session_evaluate_at_the_same_generation(self, dataset):
+        """``watch`` and ``evaluate`` share one σ path, so one answer."""
+        watch = WatchSession(dataset, ("Cov", "Sim", FULL_RULE_TEXT))
+        session = dataset.session()
         watch.poll()
         dataset.mutate(add=[("http://x/c", "http://x/p", '"1"')])
-        [event] = watch.poll()
-        assert event.shards_recounted + event.shards_reused == 16
-        assert event.shards_reused > 0  # untouched shards were not recounted
-        assert event.previous_sigma is not None
+        events = watch.poll()
+        assert {e.generation for e in events} == {dataset.generation} == {1}
+        for event in events:
+            assert event.previous_sigma is not None
+            assert event.sigma == session.evaluate(event.rule, exact=True).exact
+        session.close()
+        watch.close()
 
     def test_listener_errors_are_isolated_and_counted(self, dataset):
         watch = WatchSession(dataset, ("Cov",))
@@ -231,9 +241,8 @@ class TestWatchMechanics:
         payload = event.to_dict()
         assert set(payload) == {
             "kind", "dataset", "generation", "rule", "sigma", "value",
-            "previous_sigma", "changed", "shards_recounted", "shards_reused",
-            "full_recount", "theta", "k", "previous_k", "sort_sigmas",
-            "covered_sorts",
+            "previous_sigma", "changed", "theta", "k", "previous_k",
+            "sort_sigmas", "covered_sorts",
         }
         heartbeat = watch.heartbeat().to_dict()
         assert set(heartbeat) == set(payload)
@@ -241,14 +250,17 @@ class TestWatchMechanics:
         assert watch.stats["heartbeats"] == 1
 
     def test_describe_reports_configuration_and_counters(self, dataset):
-        watch = WatchSession(dataset, ("Cov", "Sim"), theta="1/2", shards=4)
+        watch = WatchSession(dataset, ("Cov", "Sim"), theta="1/2")
         watch.poll()
         description = watch.describe()
+        assert set(description) == {"dataset", "generation", "rules", "theta", "stats"}
         assert description["dataset"] == "mechanics"
         assert description["rules"] == ["Cov", "Sim"]
         assert description["theta"] == "1/2"
-        assert description["shards"] == 4
-        assert description["stats"]["observations"] == 1
+        assert description["stats"] == {
+            "polls": 1, "observations": 1, "events": 2, "alerts": 0,
+            "heartbeats": 0, "listener_errors": 0,
+        }
         watch.close()
 
     def test_add_rule_labels_and_duplicates(self, dataset):
@@ -258,12 +270,3 @@ class TestWatchMechanics:
         label = watch.add_rule(FULL_RULE_TEXT)
         assert label == FULL_RULE_TEXT
         assert watch.rules == ("Cov", "Sim", FULL_RULE_TEXT)
-
-    def test_invalid_shards_rejected(self, dataset):
-        with pytest.raises(RequestError):
-            WatchSession(dataset, ("Cov",), shards=0)
-
-    def test_watch_defaults_to_16_shards(self):
-        dataset = Dataset.from_ntriples_text('<http://x/a> <http://x/p> "1" .\n', name="w")
-        assert WatchSession(dataset).shards == 16
-        assert WatchSession(dataset, shards=4).shards == 4
