@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation gate, run in CI next to the tier-1 tests.
 
-Two checks, both purely static (no imports, no network):
+Three checks, all purely static (no imports, no network):
 
 1. **Public docstring audit** — every module, public class, public
    function and public method in the audited packages (``repro/api``,
@@ -13,6 +13,11 @@ Two checks, both purely static (no imports, no network):
    existing file, and ``#fragment`` links into markdown files must match
    a real heading (GitHub slug rules).  External ``http(s)://`` links are
    not touched.
+3. **Metric names documented** — every literal name passed to
+   ``.incr(``, ``.span(`` or ``.observe(`` under ``src/repro/`` must
+   appear, in backticks, in ``docs/observability.md``.  An f-string name
+   matches on its literal parts: ``f"http.status.{n}xx"`` is satisfied by
+   ```http.status.2xx```.
 
 Exit status 0 when clean; 1 with a per-finding report otherwise.
 Run locally with::
@@ -41,6 +46,13 @@ LINKED_DOCUMENTS = ("README.md", "DESIGN.md", "docs")
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
+
+#: Where telemetry names are recorded, and the document that must name them.
+METRICS_SOURCE = "src/repro"
+METRICS_DOCUMENT = "docs/observability.md"
+
+#: The telemetry methods whose first argument is a metric name.
+_METRIC_METHODS = ("incr", "span", "observe")
 
 
 # --------------------------------------------------------------------- #
@@ -153,15 +165,71 @@ def check_links() -> List[str]:
     return findings
 
 
+# --------------------------------------------------------------------- #
+# Metric names
+# --------------------------------------------------------------------- #
+def _name_patterns(node: ast.expr) -> Iterator[Tuple[str, "re.Pattern[str]"]]:
+    """``(spelling, pattern)`` per literal metric name an argument can take.
+
+    A plain string is matched verbatim; an f-string's placeholders match
+    any run of name characters; both branches of ``a if c else b`` count.
+    Anything else (a variable) names nothing checkable.
+    """
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value, re.compile(re.escape(node.value))
+    elif isinstance(node, ast.JoinedStr):
+        parts = [
+            re.escape(value.value) if isinstance(value, ast.Constant) else r"[\w.]+"
+            for value in node.values
+        ]
+        yield ast.unparse(node), re.compile("".join(parts))
+    elif isinstance(node, ast.IfExp):
+        yield from _name_patterns(node.body)
+        yield from _name_patterns(node.orelse)
+
+
+def _iter_metric_names(path: Path) -> Iterator[Tuple[int, str, "re.Pattern[str]"]]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _METRIC_METHODS
+            and node.args
+        ):
+            for spelling, pattern in _name_patterns(node.args[0]):
+                yield node.lineno, spelling, pattern
+
+
+def check_metric_names() -> List[str]:
+    """Find every recorded metric name missing from the observability doc."""
+    document = REPO_ROOT / METRICS_DOCUMENT
+    documented = set(re.findall(r"`([^`\s]+)`", document.read_text(encoding="utf-8")))
+    findings: List[str] = []
+    for path in sorted((REPO_ROOT / METRICS_SOURCE).rglob("*.py")):
+        relative = path.relative_to(REPO_ROOT)
+        names = sorted(_iter_metric_names(path), key=lambda name: name[0])
+        for lineno, spelling, pattern in names:
+            if not any(pattern.fullmatch(name) for name in documented):
+                findings.append(
+                    f"{relative}:{lineno}: metric name {spelling} is not "
+                    f"documented in {METRICS_DOCUMENT}"
+                )
+    return findings
+
+
 def main() -> int:
-    """Run both checks; print findings and return the exit status."""
-    findings = check_docstrings() + check_links()
+    """Run the three checks; print findings and return the exit status."""
+    findings = check_docstrings() + check_links() + check_metric_names()
     if findings:
         print(f"check_docs: {len(findings)} problem(s) found", file=sys.stderr)
         for finding in findings:
             print(f"  {finding}", file=sys.stderr)
         return 1
-    print("check_docs: public docstrings complete, all intra-repo links resolve")
+    print(
+        "check_docs: public docstrings complete, all intra-repo links resolve, "
+        "every metric name documented"
+    )
     return 0
 
 

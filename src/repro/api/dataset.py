@@ -98,7 +98,6 @@ class Dataset:
         table: Optional[SignatureTable] = None,
         graph_factory: Optional[Callable[[], RDFGraph]] = None,
         artifact_factory: Optional[Callable[[], object]] = None,
-        telemetry: Optional[Telemetry] = None,
     ):
         if (
             graph is None
@@ -112,33 +111,18 @@ class Dataset:
         self._graph = graph
         self._matrix = matrix
         self._table = table
-        #: Telemetry spine the handle's builds/patches record into.  ``None``
-        #: defers to the process-wide :func:`repro.telemetry.current` (a
-        #: no-op unless ``REPRO_TRACE`` is set); pass an enabled
-        #: :class:`~repro.telemetry.Telemetry` to scope collection to this
-        #: handle.  A plain attribute — adjust after construction if needed.
-        self.telemetry = telemetry
         self._graph_factory = graph_factory
         # A deferred generator producing either a SignatureTable or an
         # RDFGraph (Dataset.builtin); run at most once, on first access.
         self._artifact_factory = artifact_factory
-        #: How many times each stage of the chain was actually built, how
-        #: many mutations were applied and how often the matrix/table were
-        #: incrementally patched instead of rebuilt.
-        self.stats: Dict[str, int] = {
-            "graph_builds": 0,
-            "matrix_builds": 0,
-            "table_builds": 0,
-            "mutations": 0,
-            "matrix_patches": 0,
-            "table_patches": 0,
-            "patch_failures": 0,
-            # Which stages came from a persisted snapshot (set by load());
-            # 1 means the stage was restored from disk, not rebuilt.
-            "graph_from_snapshot": 0,
-            "matrix_from_snapshot": 0,
-            "table_from_snapshot": 0,
-        }
+        #: Always-on counters behind :attr:`stats`.
+        self.telemetry = Telemetry()
+        for counter in (
+            "graph_builds", "matrix_builds", "table_builds", "mutations",
+            "matrix_patches", "table_patches", "patch_failures",
+            "graph_from_snapshot", "matrix_from_snapshot", "table_from_snapshot",
+        ):
+            self.telemetry.incr(counter, 0)
         # Set by load(): {"path": ..., "format_version": ...} provenance so
         # registries and /v1/datasets can report snapshot-backed datasets.
         self._snapshot_provenance: Optional[Dict[str, object]] = None
@@ -152,23 +136,30 @@ class Dataset:
         # stages call each other (table → matrix → graph).
         self._lock = threading.RLock()
 
-    def _tel(self) -> Telemetry:
-        """The spine this handle records into (its own, or the process-wide one)."""
-        return self.telemetry if self.telemetry is not None else current_telemetry()
+    @property
+    def stats(self) -> Dict[str, int]:
+        """A copy of the handle's counters.
+
+        How many times each stage of the chain was actually built, how
+        many mutations were applied, how often the matrix/table were
+        incrementally patched instead of rebuilt, and which stages
+        :meth:`load` restored from a snapshot (``*_from_snapshot`` is 1).
+        """
+        return self.telemetry.counters()
 
     def _realise_artifact(self) -> None:
         """Run the deferred artifact factory (once) and slot its product in."""
         if self._artifact_factory is None:
             return
         factory, self._artifact_factory = self._artifact_factory, None
-        with self._tel().span("dataset.artifact_build"):
+        with current_telemetry().span("dataset.artifact_build"):
             artifact = factory()
         if isinstance(artifact, SignatureTable):
             self._table = artifact
-            self.stats["table_builds"] += 1
+            self.telemetry.incr("table_builds")
         elif isinstance(artifact, RDFGraph):
             self._graph = artifact
-            self.stats["graph_builds"] += 1
+            self.telemetry.incr("graph_builds")
         else:
             raise DatasetError(
                 f"the factory for dataset {self._name!r} must return a SignatureTable "
@@ -183,27 +174,23 @@ class Dataset:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_ntriples(
-        cls, path: object, name: str = "", sort: Optional[object] = None,
-        telemetry: Optional[Telemetry] = None,
+        cls, path: object, name: str = "", sort: Optional[object] = None
     ) -> "Dataset":
         """A dataset read lazily from an N-Triples file.
 
         ``sort`` optionally restricts the graph to the subjects declared of
-        that ``rdf:type`` (like the CLI's ``--sort``).  ``telemetry`` sets
-        the handle's plain attribute (see :attr:`telemetry`); every
-        graph-shaped constructor accepts it.
+        that ``rdf:type`` (like the CLI's ``--sort``).
         """
 
         def build() -> RDFGraph:
             graph = load_ntriples(path, name=name or str(path))
             return graph.sort_subgraph(sort) if sort else graph
 
-        return cls(name=name or str(path), graph_factory=build, telemetry=telemetry)
+        return cls(name=name or str(path), graph_factory=build)
 
     @classmethod
     def from_ntriples_text(
-        cls, text: str, name: str = "", sort: Optional[object] = None,
-        telemetry: Optional[Telemetry] = None,
+        cls, text: str, name: str = "", sort: Optional[object] = None
     ) -> "Dataset":
         """A dataset parsed lazily from N-Triples source text."""
 
@@ -211,7 +198,7 @@ class Dataset:
             graph = parse_ntriples(text, name=name)
             return graph.sort_subgraph(sort) if sort else graph
 
-        return cls(name=name, graph_factory=build, telemetry=telemetry)
+        return cls(name=name, graph_factory=build)
 
     @classmethod
     def build_out_of_core(
@@ -225,7 +212,6 @@ class Dataset:
         partitions: Optional[int] = None,
         overwrite: bool = False,
         mmap: bool = True,
-        telemetry: Optional[Telemetry] = None,
     ) -> "Dataset":
         """Build a dataset from N-Triples on disk without holding it in RAM.
 
@@ -239,8 +225,7 @@ class Dataset:
         materialises the full triple set in memory.  Every artifact is
         bit-identical to the in-memory path; the knobs default to the
         ``REPRO_OOC_CHUNK`` / ``REPRO_OOC_PARTITIONS`` environment
-        variables.  ``sort`` and ``telemetry`` mean what they mean on
-        :meth:`from_ntriples`.
+        variables.  ``sort`` means what it means on :meth:`from_ntriples`.
         """
         from repro.storage.outofcore import build_out_of_core
 
@@ -253,9 +238,7 @@ class Dataset:
             partitions=partitions,
             overwrite=overwrite,
         )
-        dataset = cls.load(snapshot_path, name=name, mmap=mmap, verify=False)
-        dataset.telemetry = telemetry
-        return dataset
+        return cls.load(snapshot_path, name=name, mmap=mmap, verify=False)
 
     @classmethod
     def builtin(cls, name: str, **params) -> "Dataset":
@@ -276,8 +259,7 @@ class Dataset:
 
     @classmethod
     def from_graph(
-        cls, graph: RDFGraph, name: str = "", sort: Optional[object] = None,
-        telemetry: Optional[Telemetry] = None,
+        cls, graph: RDFGraph, name: str = "", sort: Optional[object] = None
     ) -> "Dataset":
         """Wrap an existing :class:`RDFGraph` (optionally one rdf:type sort of it).
 
@@ -296,8 +278,8 @@ class Dataset:
             snapshot = RDFGraph(
                 list(graph.sort_subgraph(sort)), name=name or graph.name
             )
-            return cls(name=snapshot.name, graph=snapshot, telemetry=telemetry)
-        return cls(name=name or graph.name, graph=graph, telemetry=telemetry)
+            return cls(name=snapshot.name, graph=snapshot)
+        return cls(name=name or graph.name, graph=graph)
 
     @classmethod
     def from_matrix(cls, matrix: PropertyMatrix, name: str = "") -> "Dataset":
@@ -339,7 +321,7 @@ class Dataset:
         )
         dataset._generation = snapshot.info.generation
         for stage in snapshot.info.stages:
-            dataset.stats[f"{stage}_from_snapshot"] = 1
+            dataset.telemetry.incr(f"{stage}_from_snapshot")
         dataset._snapshot_provenance = {
             "path": str(snapshot.path),
             "format_version": snapshot.info.format_version,
@@ -384,7 +366,7 @@ class Dataset:
             encoded = encode_chain(graph=graph, matrix=matrix, table=table)
             snapshot_name = name or self._name
             generation = self._generation
-        with self._tel().span("dataset.snapshot_save"):
+        with current_telemetry().span("dataset.snapshot_save"):
             return write_encoded_snapshot(
                 path,
                 encoded,
@@ -482,9 +464,9 @@ class Dataset:
                         f"dataset {self._name!r} was constructed without an RDF graph; "
                         "only its matrix/signature-table views are available"
                     )
-                with self._tel().span("dataset.graph_build"):
+                with current_telemetry().span("dataset.graph_build"):
                     self._graph = self._graph_factory()
-                self.stats["graph_builds"] += 1
+                self.telemetry.incr("graph_builds")
             return self._graph
 
     @property
@@ -500,9 +482,9 @@ class Dataset:
                         "the per-subject property matrix is not available"
                     )
                 graph = self.graph
-                with self._tel().span("dataset.matrix_build"):
+                with current_telemetry().span("dataset.matrix_build"):
                     self._matrix = PropertyMatrix.from_graph(graph)
-                self.stats["matrix_builds"] += 1
+                self.telemetry.incr("matrix_builds")
             return self._matrix
 
     @property
@@ -513,9 +495,9 @@ class Dataset:
                 self._realise_artifact()
             if self._table is None:
                 matrix = self._matrix if self._matrix is not None else self.matrix
-                with self._tel().span("dataset.table_build"):
+                with current_telemetry().span("dataset.table_build"):
                     self._table = SignatureTable.from_matrix(matrix)
-                self.stats["table_builds"] += 1
+                self.telemetry.incr("table_builds")
             return self._table
 
     @property
@@ -577,15 +559,15 @@ class Dataset:
                 f"mutate needs a MutationRequest or add=/remove= keywords, "
                 f"got {request!r}"
             )
-        with self._lock, self._tel().span("dataset.mutate"):
-            telemetry = self._tel()
+        telemetry = current_telemetry()
+        with self._lock, telemetry.span("dataset.mutate"):
             graph = self.graph  # DatasetError for matrix/table-born datasets
             # validated() fully coerced every term up front, so applying
             # the delta cannot fail half-way and the mutation is atomic.
             delta = graph.remove_triples(req.remove).merge(graph.add_triples(req.add))
             if not delta.is_empty:
                 self._generation += 1
-                self.stats["mutations"] += 1
+                self.telemetry.incr("mutations")
                 try:
                     matrix_patched = table_patched = False
                     if self._matrix is not None:
@@ -604,8 +586,8 @@ class Dataset:
                     # Counted only once the whole chain patched: a patch
                     # that was discarded by the failure path below must not
                     # inflate the zero-redundant-build accounting.
-                    self.stats["matrix_patches"] += int(matrix_patched)
-                    self.stats["table_patches"] += int(table_patched)
+                    self.telemetry.incr("matrix_patches", int(matrix_patched))
+                    self.telemetry.incr("table_patches", int(table_patched))
                 except Exception:
                     # The graph already changed, so a validated mutation
                     # must still *succeed* — otherwise distributed callers
@@ -615,7 +597,7 @@ class Dataset:
                     # mutated graph, and count the event.
                     self._matrix = None
                     self._table = None
-                    self.stats["patch_failures"] += 1
+                    self.telemetry.incr("patch_failures")
                     telemetry.incr("dataset.patch_failures")
             return MutationResult(
                 dataset=self._name,

@@ -58,7 +58,7 @@ from repro.rdf.terms import coerce_uri
 from repro.rules import library
 from repro.rules.ast import Rule
 from repro.rules.parser import parse_rule
-from repro.telemetry import current as current_telemetry
+from repro.telemetry import Telemetry, current as current_telemetry
 
 __all__ = ["StructurednessSession", "resolve_rule", "named_rules"]
 
@@ -94,19 +94,18 @@ def resolve_rule(spec: RuleSpec) -> Rule:
 class _CountingSolver:
     """Wraps a backend so the session can count actual solver invocations.
 
-    The counter update is lock-guarded, so the count stays exact even if
-    the wrapped solver is shared across threads.
+    The count goes to the session's :class:`~repro.telemetry.Telemetry`,
+    whose lock keeps it exact even if the wrapped solver is shared across
+    threads.
     """
 
-    def __init__(self, inner: object, stats: Dict[str, int]):
+    def __init__(self, inner: object, telemetry: Telemetry):
         self._inner = inner
-        self._stats = stats
-        self._lock = threading.Lock()
+        self._telemetry = telemetry
         self.name = getattr(inner, "name", type(inner).__name__)
 
     def solve(self, model):
-        with self._lock:
-            self._stats["solver_calls"] += 1
+        self._telemetry.incr("solver_calls")
         with current_telemetry().span("ilp.solve"):
             return self._inner.solve(model)
 
@@ -143,16 +142,14 @@ class StructurednessSession:
         max_cached_results: int = 256,
     ):
         self.dataset = dataset
-        self.stats: Dict[str, int] = {
-            "requests": 0,
-            "solver_calls": 0,
-            "result_cache_hits": 0,
-            "cache_invalidations": 0,
-        }
+        #: Always-on counters behind :attr:`stats`.
+        self.telemetry = Telemetry()
+        for counter in ("requests", "solver_calls", "result_cache_hits", "cache_invalidations"):
+            self.telemetry.incr(counter, 0)
         inner = resolve_solver(
             solver, time_limit=solver_time_limit, **(solver_options or {})
         )
-        self.solver = _CountingSolver(inner, self.stats)
+        self.solver = _CountingSolver(inner, self.telemetry)
         #: How the backend was requested (a registry name, or the instance's
         #: own name) — the service reports it next to the resolved backend.
         self.solver_spec: str = (
@@ -176,13 +173,18 @@ class StructurednessSession:
         # work for an identical request (it finds the cached result instead).
         self._lock = threading.RLock()
 
+    @property
+    def stats(self) -> Dict[str, int]:
+        """A copy of the session's counters (requests, solver calls, cache hits, invalidations)."""
+        return self.telemetry.counters()
+
     def _sync_generation(self) -> None:
         """Drop cached results when the dataset mutated since they were stored."""
         generation = getattr(self.dataset, "generation", 0)
         if generation != self._seen_generation:
             self._seen_generation = generation
             self._results.clear()
-            self.stats["cache_invalidations"] += 1
+            self.telemetry.incr("cache_invalidations")
 
     def _cached_result(self, key: tuple):
         """Fetch a cached result (marking it most recently used) or ``None``."""
@@ -190,7 +192,7 @@ class StructurednessSession:
         result = self._results.get(key)
         if result is not None:
             self._results.move_to_end(key)
-            self.stats["result_cache_hits"] += 1
+            self.telemetry.incr("result_cache_hits")
         return result
 
     def _store_result(self, key: tuple, result):
@@ -226,7 +228,7 @@ class StructurednessSession:
                 "dataset_generation": getattr(self.dataset, "generation", 0),
                 "solver": self.solver.name,
                 "solver_spec": self.solver_spec,
-                "stats": dict(self.stats),
+                "stats": self.stats,
                 "cached_results": len(self._results),
             }
 
@@ -306,7 +308,7 @@ class StructurednessSession:
         rule = resolve_rule(req.rule)
         key = self._request_key(req, rule)
         with self._lock:
-            self.stats["requests"] += 1
+            self.telemetry.incr("requests")
             cached = self._cached_result(key)
             if cached is not None:
                 return cached
@@ -326,7 +328,7 @@ class StructurednessSession:
         """σDep[p1, p2] (or σSymDep with ``symmetric=True``) of the dataset."""
         p1, p2 = coerce_uri(prop1), coerce_uri(prop2)
         with self._lock:
-            self.stats["requests"] += 1
+            self.telemetry.incr("requests")
             table = self.dataset.table
             compute = symmetric_dependency_value if symmetric else dependency_value
             label = "SymDep" if symmetric else "Dep"
@@ -350,7 +352,7 @@ class StructurednessSession:
                 f"got unknown keywords {sorted(unknown)}"
             )
         with self._lock:
-            self.stats["requests"] += 1
+            self.telemetry.incr("requests")
             # Dataset.mutate owns the request-or-keywords coercion; value
             # errors surface as RequestErrors naming the bad field.
             result = self.dataset.mutate(request, **kwargs)
@@ -363,7 +365,7 @@ class StructurednessSession:
         rule = resolve_rule(req.rule)
         key = self._request_key(req, rule)
         with self._lock:
-            self.stats["requests"] += 1
+            self.telemetry.incr("requests")
             cached = self._cached_result(key)
             if cached is not None:
                 return replace(cached, cached=True)
@@ -390,7 +392,7 @@ class StructurednessSession:
         rule = resolve_rule(req.rule)
         key = self._request_key(req, rule)
         with self._lock:
-            self.stats["requests"] += 1
+            self.telemetry.incr("requests")
             cached = self._cached_result(key)
             if cached is not None:
                 return replace(cached, cached=True)
@@ -421,7 +423,7 @@ class StructurednessSession:
         rule = resolve_rule(req.rule)
         key = self._request_key(req, rule)
         with self._lock:
-            self.stats["requests"] += 1
+            self.telemetry.incr("requests")
             cached = self._cached_result(key)
             if cached is not None:
                 return replace(

@@ -39,7 +39,7 @@ from repro.api.session import resolve_rule
 from repro.functions.structuredness import StructurednessFunction, best_function_for_rule
 from repro.matrix.signatures import SignatureTable
 from repro.rules.ast import Rule
-from repro.telemetry import current as current_telemetry
+from repro.telemetry import Telemetry, current as current_telemetry
 
 __all__ = ["WatchEvent", "WatchSession"]
 
@@ -149,14 +149,12 @@ class WatchSession:
         self._rules: "Dict[str, _RuleState]" = {}
         self._listeners: List[Callable[[WatchEvent], None]] = []
         self._last_generation: Optional[int] = None
-        self.stats: Dict[str, int] = {
-            "polls": 0,
-            "observations": 0,
-            "events": 0,
-            "alerts": 0,
-            "heartbeats": 0,
-            "listener_errors": 0,
-        }
+        #: Always-on counters behind :attr:`stats`.
+        self.telemetry = Telemetry()
+        for counter in (
+            "polls", "observations", "events", "alerts", "heartbeats", "listener_errors",
+        ):
+            self.telemetry.incr(counter, 0)
         self._lock = threading.RLock()
         for spec in rules:
             self.add_rule(spec)
@@ -184,6 +182,11 @@ class WatchSession:
             self._listeners.append(callback)
 
     @property
+    def stats(self) -> Dict[str, int]:
+        """A copy of the watch's counters (see the class docstring)."""
+        return self.telemetry.counters()
+
+    @property
     def rules(self) -> Tuple[str, ...]:
         """The labels of the watched rules, in registration order."""
         with self._lock:
@@ -201,7 +204,7 @@ class WatchSession:
         mutation bumps the generation.
         """
         with self._lock:
-            self.stats["polls"] += 1
+            self.telemetry.incr("polls")
             # Re-read until generation and table agree: a mutation landing
             # between the two reads must not pin a newer table to an older
             # generation number.
@@ -220,7 +223,7 @@ class WatchSession:
     def heartbeat(self) -> WatchEvent:
         """A liveness event for streaming transports (not sent to listeners)."""
         with self._lock:
-            self.stats["heartbeats"] += 1
+            self.telemetry.incr("heartbeats")
             return WatchEvent(
                 kind="heartbeat",
                 dataset=self.dataset.name,
@@ -228,10 +231,9 @@ class WatchSession:
             )
 
     def _observe(self, generation: int, table: SignatureTable) -> List[WatchEvent]:
-        telemetry = current_telemetry()
-        self.stats["observations"] += 1
+        self.telemetry.incr("observations")
         events: List[WatchEvent] = []
-        with telemetry.span("watch.observe"):
+        with current_telemetry().span("watch.observe"):
             for label, state in self._rules.items():
                 sigma = state.function.evaluate_fraction(table)
                 previous = state.last_sigma
@@ -250,7 +252,7 @@ class WatchSession:
                 )
                 if self.theta is not None:
                     events.extend(self._track_lowest_k(label, state, generation, sigma))
-        self.stats["events"] += len(events)
+        self.telemetry.incr("events", len(events))
         return events
 
     def _track_lowest_k(
@@ -260,7 +262,7 @@ class WatchSession:
         previous_k, state.last_k = state.last_k, result.k
         if previous_k is None or result.k == previous_k:
             return []
-        self.stats["alerts"] += 1
+        self.telemetry.incr("alerts")
         threshold = float(self.theta)
         sort_sigmas = tuple(sort.sigma for sort in result.sorts)
         return [
@@ -286,7 +288,7 @@ class WatchSession:
                 try:
                     listener(event)
                 except Exception:
-                    self.stats["listener_errors"] += 1
+                    self.telemetry.incr("listener_errors")
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -299,7 +301,7 @@ class WatchSession:
                 "generation": self.dataset.generation,
                 "rules": list(self._rules),
                 "theta": _fraction_text(self.theta),
-                "stats": dict(self.stats),
+                "stats": self.stats,
             }
 
     def close(self) -> None:

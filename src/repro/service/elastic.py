@@ -59,11 +59,11 @@ so only no-op mutations expose this).  Every other payload field stays
 bit-identical; exact parity here needs addressable workers (consistent
 group→worker routing), which one shared job queue cannot express.
 
-Scale events are counted in the executor's always-on
+Scale events and dispatched jobs are counted in the executor's always-on
 :class:`~repro.telemetry.Telemetry` (``scale.up`` / ``scale.down`` /
-``scale.worker_boots`` / ``scale.worker_drains``), mirrored into the
-process spine, reported by :meth:`ElasticPoolExecutor.stats` and served
-over ``GET /v1/metrics``.
+``scale.worker_boots`` / ``scale.worker_drains`` /
+``pool.jobs_dispatched``), read by :meth:`ElasticPoolExecutor.stats` and
+served under ``executor`` by ``GET /v1/metrics``.
 
 :meth:`close` is graceful by construction: drain sentinels queue
 *behind* any in-flight jobs, so accepted work completes before the
@@ -226,7 +226,7 @@ class ElasticPoolExecutor(BatchExecutor):
             else multiprocessing.get_context()
         )
         #: Always-on scale/lifecycle telemetry, served via ``/v1/metrics``.
-        self.telemetry = Telemetry(enabled=True)
+        self.telemetry = Telemetry()
         # Guards every piece of mutable pool state below.
         self._lock = threading.Lock()
         # Serialises whole mutations (seq allocation → worker apply → log
@@ -246,11 +246,8 @@ class ElasticPoolExecutor(BatchExecutor):
         self._draining = 0
         self._futures: Dict[int, Future] = {}
         self._job_seq = 0
-        self._jobs_dispatched = 0
         self._last_busy = time.monotonic()
         self._peak_workers = 0
-        self._scale_up_events = 0
-        self._scale_down_events = 0
         self._collector: Optional[threading.Thread] = None
         self._scaler: Optional[threading.Thread] = None
         self._scaler_stop = threading.Event()
@@ -293,7 +290,6 @@ class ElasticPoolExecutor(BatchExecutor):
         self._workers[worker_id] = process
         self._peak_workers = max(self._peak_workers, len(self._workers))
         self.telemetry.incr("scale.worker_boots")
-        current_telemetry().incr("scale.worker_boots")
 
     def _collect(self) -> None:
         """Route worker answers to futures; account for drained workers."""
@@ -311,7 +307,6 @@ class ElasticPoolExecutor(BatchExecutor):
                 if process is not None:
                     process.join(timeout=5)
                 self.telemetry.incr("scale.worker_drains")
-                current_telemetry().incr("scale.worker_drains")
                 continue
             with self._lock:
                 future = self._futures.pop(key, None)
@@ -335,9 +330,7 @@ class ElasticPoolExecutor(BatchExecutor):
                     spawn = min(backlog, self.max_workers) - effective
                     for _ in range(spawn):
                         self._spawn_locked()
-                    self._scale_up_events += 1
                     self.telemetry.incr("scale.up")
-                    current_telemetry().incr("scale.up")
                 elif (
                     backlog == 0
                     and effective > self.min_workers
@@ -347,9 +340,7 @@ class ElasticPoolExecutor(BatchExecutor):
                     self._inbound.put(_DRAIN)
                     self._draining += 1
                     self._last_busy = time.monotonic()
-                    self._scale_down_events += 1
                     self.telemetry.incr("scale.down")
-                    current_telemetry().incr("scale.down")
 
     # ------------------------------------------------------------------ #
     # Job submission
@@ -360,8 +351,8 @@ class ElasticPoolExecutor(BatchExecutor):
             self._job_seq += 1
             job_id = self._job_seq
             self._futures[job_id] = future
-            self._jobs_dispatched += 1
             self._last_busy = time.monotonic()
+        self.telemetry.incr("pool.jobs_dispatched")
         self._inbound.put((job_id, payload))
         return future
 
@@ -419,6 +410,7 @@ class ElasticPoolExecutor(BatchExecutor):
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
         """Pool topology, backlog and the scale-event counters."""
+        counters = self.telemetry.counters()
         with self._lock:
             return {
                 "mode": "elastic",
@@ -429,10 +421,10 @@ class ElasticPoolExecutor(BatchExecutor):
                 "peak_workers": self._peak_workers,
                 "backlog": len(self._futures),
                 "start_method": self._context.get_start_method(),
-                "jobs_dispatched": self._jobs_dispatched,
+                "jobs_dispatched": counters.get("pool.jobs_dispatched", 0),
                 "mutations_logged": len(self._mutation_log),
-                "scale_up_events": self._scale_up_events,
-                "scale_down_events": self._scale_down_events,
+                "scale_up_events": counters.get("scale.up", 0),
+                "scale_down_events": counters.get("scale.down", 0),
             }
 
     def close(self) -> None:
@@ -459,7 +451,6 @@ class ElasticPoolExecutor(BatchExecutor):
         for process in workers:
             if not _has_exited(process):
                 self.telemetry.incr("scale.forced_terminations")
-                current_telemetry().incr("scale.forced_terminations")
                 process.terminate()
                 process.join(timeout=5)
         # The collector drains remaining acks, then stops on the sentinel.

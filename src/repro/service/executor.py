@@ -249,7 +249,7 @@ class InlineExecutor(BatchExecutor):
             sessions = list(self._sessions.values())
         return {
             "mode": "inline",
-            "registry": dict(self.registry.stats),
+            "registry": self.registry.stats,
             "sessions": [session.describe() for session in sessions],
         }
 

@@ -19,6 +19,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.api.dataset import Dataset, builtin_dataset_names
 from repro.exceptions import RequestError
+from repro.telemetry import Telemetry
 
 __all__ = ["DatasetSpec", "DatasetRegistry"]
 
@@ -167,19 +168,27 @@ class DatasetRegistry:
         self._datasets: Dict[str, Dataset] = {}
         self._specs: Dict[str, DatasetSpec] = {}
         self._lock = threading.RLock()
-        self.stats: Dict[str, int] = {"lookups": 0, "builds": 0}
+        #: Always-on counters behind :attr:`stats`.
+        self.telemetry = Telemetry()
+        for counter in ("lookups", "builds"):
+            self.telemetry.incr(counter, 0)
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """A copy of the registry's counters: spec lookups and dataset builds."""
+        return self.telemetry.counters()
 
     def get(self, spec: DatasetSpec) -> Dataset:
         """The (cached) handle for ``spec``, building it on first use."""
         key = spec.key
         with self._lock:
-            self.stats["lookups"] += 1
+            self.telemetry.incr("lookups")
             dataset = self._datasets.get(key)
             if dataset is None:
                 dataset = spec.build()
                 self._datasets[key] = dataset
                 self._specs[key] = spec
-                self.stats["builds"] += 1
+                self.telemetry.incr("builds")
         return dataset
 
     def __len__(self) -> int:

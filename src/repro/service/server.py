@@ -30,10 +30,12 @@ Routes (all payloads JSON):
   per-session detail lives in the workers and the stats report the
   pool-level view (worker count, jobs dispatched).
 * ``GET /v1/metrics`` — a deterministic JSON snapshot of the
-  observability spine: the service's always-on telemetry (HTTP status
-  counters, watch-stream counters) plus the process-wide
+  observability spine: the request totals, the admission counters, the
+  service's always-on telemetry (request totals, HTTP status counters,
+  watch-stream counters), the process-wide
   :func:`repro.telemetry.current` spine (dataset builds/patches, solver
-  spans, ... — populated when ``REPRO_TRACE`` is set).
+  spans, ... — populated when ``REPRO_TRACE`` is set) and, on an elastic
+  pool, the pool's own telemetry (scale events, dispatched jobs).
 * ``POST /v1/watch`` — a streaming JSONL watch over one dataset (inline
   servers only): ``{"dataset": ..., "rules": ["Cov"], "theta": "3/4",
   "max_events": 3, "duration_s": 10}``.  The response streams one JSON
@@ -102,6 +104,9 @@ _MAX_BODY_BYTES = 64 * 1024 * 1024
 #: that stalls mid-body (or idles on a keep-alive connection) this long
 #: is disconnected, so it cannot hold a handler thread forever.
 _SOCKET_TIMEOUT_S = 60.0
+#: The request totals kept on the service telemetry and served as the
+#: ``server`` block of ``/v1/stats`` and ``/v1/metrics``.
+_RESPONSE_COUNTERS = ("http_requests", "ok_responses", "error_responses")
 
 
 class _BodyError(Exception):
@@ -138,22 +143,20 @@ class StructurednessService:
         self.pending_limit = pending_limit
         self._slots = threading.BoundedSemaphore(pending_limit)
         self._admission = {"pending": 0, "peak_pending": 0, "accepted": 0, "rejected": 0}
-        self.counters: Dict[str, int] = {
-            "http_requests": 0,
-            "ok_responses": 0,
-            "error_responses": 0,
-        }
         #: Always-on service telemetry (independent of ``REPRO_TRACE``):
-        #: HTTP status-class counters, access-log lines and watch-stream
-        #: counters land here so 4xx/5xx are observable even when the
-        #: access log is quiet.  Served by ``GET /v1/metrics``.
-        self.telemetry = Telemetry(enabled=True)
+        #: request totals, HTTP status-class counters, access-log lines and
+        #: watch-stream counters land here so 4xx/5xx are observable even
+        #: when the access log is quiet.  Served by ``GET /v1/metrics``.
+        self.telemetry = Telemetry()
+        for counter in _RESPONSE_COUNTERS:
+            self.telemetry.incr(counter, 0)
         self._request_seq = 0
 
-    def _count(self, ok: bool) -> None:
-        with self._lock:
-            self.counters["http_requests"] += 1
-            self.counters["ok_responses" if ok else "error_responses"] += 1
+    @property
+    def counters(self) -> Dict[str, int]:
+        """The request totals: the ``server`` block of ``/v1/stats`` and ``/v1/metrics``."""
+        counters = self.telemetry.counters()
+        return {name: counters[name] for name in _RESPONSE_COUNTERS}
 
     def admit(self) -> bool:
         """Take a compute slot; False (counted as rejected) when none is free."""
@@ -239,10 +242,8 @@ class StructurednessService:
 
     def handle_stats(self) -> Tuple[int, Dict[str, object]]:
         """``GET /v1/stats``: HTTP and admission counters plus the executor's stats."""
-        with self._lock:
-            server_counters = dict(self.counters)
         return 200, {
-            "server": server_counters,
+            "server": self.counters,
             "admission": self.admission_snapshot(),
             "executor": self.executor.stats(),
         }
@@ -250,25 +251,24 @@ class StructurednessService:
     def handle_metrics(self) -> Tuple[int, Dict[str, object]]:
         """``GET /v1/metrics``: the observability spine as deterministic JSON.
 
-        ``server`` holds the legacy request counters, ``admission`` the
-        admission counters, ``service`` the
-        always-on service telemetry snapshot and ``process`` the
-        process-wide :func:`repro.telemetry.current` spine (disabled and
-        empty unless ``REPRO_TRACE`` is set or a library caller enabled
-        it).  Key order is stable and sorted; only the recorded wall-clock
-        values vary between runs.
+        ``server`` holds the request totals, ``admission`` the admission
+        counters, ``service`` the always-on service telemetry snapshot
+        (request totals included), ``process`` the process-wide
+        :func:`repro.telemetry.current` spine (disabled and empty unless
+        ``REPRO_TRACE`` is set or a library caller enabled it) and, on an
+        elastic pool, ``executor`` the pool's own telemetry.  Key order
+        is stable and sorted; only the recorded wall-clock values vary
+        between runs.
         """
-        with self._lock:
-            server_counters = dict(self.counters)
         payload: Dict[str, object] = {
-            "server": server_counters,
+            "server": self.counters,
             "admission": self.admission_snapshot(),
             "service": self.telemetry.snapshot(),
             "process": current_telemetry().snapshot(),
         }
         # Executors with their own always-on telemetry (the elastic pool's
-        # scale.worker_boots / scale.up_events / ...) surface it here, so
-        # scale events are observable over plain GET /v1/metrics.
+        # scale.worker_boots / scale.up / ...) surface it here, so scale
+        # events are observable over plain GET /v1/metrics.
         executor_telemetry = getattr(self.executor, "telemetry", None)
         if executor_telemetry is not None:
             payload["executor"] = executor_telemetry.snapshot()
@@ -395,10 +395,12 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
-        self.service._count(200 <= status < 400)
-        # 4xx/5xx are counted here unconditionally — the satellite fix for
-        # the access log being dropped unless --verbose.
-        self.service.telemetry.incr(f"http.status.{status // 100}xx")
+        # Counted here unconditionally, so 4xx/5xx are seen even when the
+        # access log is quiet (--verbose off).
+        telemetry = self.service.telemetry
+        telemetry.incr("http_requests")
+        telemetry.incr("ok_responses" if 200 <= status < 400 else "error_responses")
+        telemetry.incr(f"http.status.{status // 100}xx")
 
     def _read_body(self) -> bytes:
         # A chunked request carries no Content-Length; silently reading an
@@ -591,7 +593,8 @@ class _Handler(BaseHTTPRequestHandler):
             close = getattr(lines, "close", None)
             if close is not None:
                 close()  # runs the producer's cleanup after a hangup
-            self.service._count(ok)
+            telemetry.incr("http_requests")
+            telemetry.incr("ok_responses" if ok else "error_responses")
 
     def _write_line(self, payload: Dict[str, object]) -> None:
         self.wfile.write((json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))

@@ -13,10 +13,11 @@ free when off*:
   ``observe`` / ``span`` bodies do nothing and allocate nothing, so a
   disabled spine adds no measurable overhead to the instrumented paths
   (the acceptance criterion the benchmarks rely on).
-* A :class:`Telemetry` instance can also be passed explicitly — e.g.
-  ``Dataset(telemetry=...)`` scopes the dataset-chain spans to one
-  handle, and the HTTP service keeps an always-on instance for its
-  access-log counters regardless of ``REPRO_TRACE``.
+* Every object that counts its own work — :class:`~repro.api.Dataset`,
+  :class:`~repro.api.StructurednessSession`, :class:`~repro.api.WatchSession`,
+  the service's dataset registry, the HTTP service and the elastic pool —
+  owns one always-on :class:`Telemetry` as ``telemetry``, independent of
+  ``REPRO_TRACE``; each ``stats`` is a read-only view over its counters.
 
 Everything is stdlib: a lock per instance makes counters and histogram
 updates thread-safe (pool *worker processes* keep their own per-process
@@ -95,17 +96,14 @@ _NULL_SPAN = _NullSpan()
 class Telemetry:
     """Thread-safe counters, span timers and fixed-bucket latency histograms.
 
-    Parameters
-    ----------
-    enabled:
-        When false, every recording method is a no-op and
-        :meth:`snapshot` reports an empty, disabled spine.  The shared
-        :data:`NULL_TELEMETRY` is the canonical disabled instance; build
-        enabled ones for scoped collection (a service, one dataset).
+    Every instance records; the shared :data:`NULL_TELEMETRY` is the one
+    disabled spine, handed out by :func:`current` when tracing is off.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    #: Whether the instance records (false only for :data:`NULL_TELEMETRY`).
+    enabled = True
+
+    def __init__(self):
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
         # name -> [count, total_s, min_s, max_s, bucket counts...]
@@ -116,15 +114,11 @@ class Telemetry:
     # ------------------------------------------------------------------ #
     def incr(self, name: str, n: int = 1) -> None:
         """Add ``n`` to the counter ``name`` (created at 0 on first use)."""
-        if not self.enabled:
-            return
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
 
     def observe(self, name: str, seconds: float) -> None:
         """Record one duration under span ``name`` (count/total/min/max + histogram)."""
-        if not self.enabled:
-            return
         ms = seconds * 1000.0
         with self._lock:
             entry = self._spans.get(name)
@@ -146,12 +140,10 @@ class Telemetry:
     def span(self, name: str):
         """A context manager timing its block into the span ``name``.
 
-        Disabled instances return one shared no-op object, so wrapping a
-        hot path in ``with telemetry.span(...)`` costs a method call and
-        nothing else when tracing is off.
+        :data:`NULL_TELEMETRY` returns one shared no-op object instead, so
+        wrapping a hot path in ``with telemetry.span(...)`` costs a method
+        call and nothing else when tracing is off.
         """
-        if not self.enabled:
-            return _NULL_SPAN
         return _SpanTimer(self, name)
 
     # ------------------------------------------------------------------ #
@@ -188,12 +180,6 @@ class Telemetry:
                 "spans": spans,
             }
 
-    def reset(self) -> None:
-        """Drop every counter and span (the instance stays enabled)."""
-        with self._lock:
-            self._counters.clear()
-            self._spans.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "enabled" if self.enabled else "disabled"
         return f"<Telemetry {state}: {len(self._counters)} counters, {len(self._spans)} spans>"
@@ -202,8 +188,7 @@ class Telemetry:
 class _NullTelemetry(Telemetry):
     """The shared disabled spine: every recording method is a no-op."""
 
-    def __init__(self):
-        super().__init__(enabled=False)
+    enabled = False
 
     def incr(self, name: str, n: int = 1) -> None:
         return None
@@ -244,7 +229,7 @@ def current() -> Telemetry:
     if _env_enabled():
         with _lock:
             if _active is None:
-                _active = Telemetry(enabled=True)
+                _active = Telemetry()
             return _active
     return NULL_TELEMETRY
 
@@ -253,7 +238,7 @@ def enable(telemetry: Optional[Telemetry] = None) -> Telemetry:
     """Switch the process-wide spine on (optionally to a given instance)."""
     global _active
     with _lock:
-        _active = telemetry if telemetry is not None else Telemetry(enabled=True)
+        _active = telemetry if telemetry is not None else Telemetry()
         return _active
 
 

@@ -14,6 +14,7 @@ The acceptance-critical properties:
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -308,10 +309,17 @@ class TestThreadSafety:
             return session.lowest_k("Cov", theta="1/2").k
 
         kinds = ["evaluate", "refine", "lowest_k"] * 4
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            results = list(pool.map(run, kinds))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: lost updates would show
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                results = list(pool.map(run, kinds))
+        finally:
+            sys.setswitchinterval(interval)
         for kind, value in zip(kinds, results):
             assert value == expected[kind]
+        # Concurrent increments of the session's counters lose nothing.
+        assert session.stats["requests"] == len(kinds)
 
     def test_describe_reports_binding_and_counters(self, toy_persons_table):
         session = Dataset.from_table(toy_persons_table).session(solver="branch-and-bound")
@@ -319,8 +327,19 @@ class TestThreadSafety:
         description = session.describe()
         assert description["solver_spec"] == "branch-and-bound"
         assert description["solver"] == "branch-and-bound"
-        assert description["stats"]["requests"] == 1
+        assert description["stats"] == {
+            "requests": 1,
+            "solver_calls": 0,
+            "result_cache_hits": 0,
+            "cache_invalidations": 0,
+        }
         assert json.loads(json.dumps(description)) == description
+        # Every stats payload is a copy: writing to it changes no counter.
+        description["stats"]["requests"] = 99
+        session.stats["requests"] = 99
+        session.dataset.stats["table_builds"] = 99
+        assert session.stats["requests"] == 1
+        assert session.dataset.stats["table_builds"] == 0
 
 
 class TestSessionResults:

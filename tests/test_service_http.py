@@ -203,10 +203,19 @@ class TestRoutes:
         _request(inline_server, "/v1/evaluate", {"dataset": "wordnet-nouns", "rule": "Cov"})
         status, payload = _request(inline_server, "/v1/stats")
         assert status == 200
+        assert set(payload["server"]) == {"http_requests", "ok_responses", "error_responses"}
         assert payload["server"]["http_requests"] > 0
         sessions = payload["executor"]["sessions"]
         assert sessions and all("solver" in s and "solver_spec" in s for s in sessions)
+        assert set(payload["executor"]["registry"]) == {"lookups", "builds"}
         assert payload["executor"]["registry"]["builds"] >= 1
+        # The in-process views hand out copies: writing to one changes no counter.
+        service = inline_server.service
+        before = service.counters["http_requests"]
+        service.counters["http_requests"] = -1
+        service.executor.registry.stats["builds"] = -1
+        assert service.counters["http_requests"] == before
+        assert service.executor.registry.stats["builds"] >= 1
 
 
 class TestErrorMapping:
@@ -822,10 +831,21 @@ class TestPoolBackedServer:
         status, payload = _request(pool_server, "/v1/stats")
         assert status == 200
         executor = payload["executor"]
+        assert set(executor) == {
+            "mode", "min_workers", "max_workers", "workers", "draining", "peak_workers",
+            "backlog", "start_method", "jobs_dispatched", "mutations_logged",
+            "scale_up_events", "scale_down_events",
+        }
         assert executor["mode"] == "elastic"
         assert executor["min_workers"] == executor["max_workers"] == 2
         assert executor["jobs_dispatched"] >= 1
         assert executor["scale_up_events"] == 0  # min == max: nothing to scale
+        # stats() reads the pool's own telemetry and hands out a copy.
+        pool = pool_server.service.executor
+        stats = pool.stats()
+        assert stats["jobs_dispatched"] == pool.telemetry.counters()["pool.jobs_dispatched"]
+        stats["jobs_dispatched"] = -1
+        assert pool.stats()["jobs_dispatched"] >= 1
 
     def test_metrics_carry_the_pool_scale_telemetry(self, pool_server):
         _request(pool_server, "/v1/evaluate", {"dataset": "wordnet-nouns", "rule": "Cov"})

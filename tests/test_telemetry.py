@@ -99,16 +99,6 @@ class TestTelemetryInstance:
             "count", "total_ms", "min_ms", "max_ms", "buckets",
         }
 
-    def test_reset_drops_everything_but_stays_enabled(self):
-        telemetry = Telemetry()
-        telemetry.incr("hits")
-        telemetry.observe("work", 0.001)
-        telemetry.reset()
-        assert telemetry.counters() == {}
-        assert telemetry.snapshot()["spans"] == {}
-        telemetry.incr("hits")
-        assert telemetry.counters() == {"hits": 1}
-
     def test_concurrent_increments_lose_nothing(self):
         telemetry = Telemetry()
         barrier = threading.Barrier(8)
@@ -141,14 +131,15 @@ class TestDisabledSpine:
     def test_disabled_span_is_one_shared_object(self):
         # The zero-overhead claim: a disabled span() allocates nothing.
         assert NULL_TELEMETRY.span("a") is NULL_TELEMETRY.span("b")
-        disabled = Telemetry(enabled=False)
-        assert disabled.span("a") is NULL_TELEMETRY.span("a")
+        assert current().span("a") is NULL_TELEMETRY.span("a")
 
     def test_disabled_instance_ignores_recordings(self):
-        disabled = Telemetry(enabled=False)
-        disabled.incr("ignored")
-        disabled.observe("ignored", 1.0)
-        assert disabled.counters() == {}
+        NULL_TELEMETRY.incr("ignored", 5)
+        NULL_TELEMETRY.observe("ignored", 1.0)
+        assert NULL_TELEMETRY.counters() == {}
+        # NULL_TELEMETRY is the only disabled spine: a Telemetry always records.
+        with pytest.raises(TypeError):
+            Telemetry(enabled=False)
 
 
 class TestProcessWideAccessor:
@@ -190,13 +181,12 @@ class TestInstrumentedPaths:
     def test_dataset_chain_and_mutation_spans_recorded(self):
         from repro.api import Dataset
 
-        telemetry = Telemetry()
+        telemetry = enable(Telemetry())  # the autouse fixture restores the default
         dataset = Dataset.from_ntriples_text(
             '<http://x/a> <http://x/p> "1" .\n'
             '<http://x/a> <http://x/q> "1" .\n'
             '<http://x/b> <http://x/p> "1" .\n',
             name="spine",
-            telemetry=telemetry,
         )
         dataset.table
         spans = telemetry.snapshot()["spans"]
@@ -207,6 +197,11 @@ class TestInstrumentedPaths:
         assert spans["dataset.mutate"]["count"] == 1
         assert spans["dataset.matrix_patch"]["count"] == 1
         assert spans["dataset.table_patch"]["count"] == 1
+        # The handle's own telemetry holds its counters, never the spans.
+        assert dataset.telemetry.snapshot()["spans"] == {}
+        assert dataset.stats["mutations"] == 1 and dataset.stats["table_patches"] == 1
+        with pytest.raises(TypeError):
+            Dataset(name="scoped", graph=dataset.graph, telemetry=telemetry)
 
     def test_disabled_spine_leaves_dataset_behaviour_untouched(self):
         from repro.api import Dataset
