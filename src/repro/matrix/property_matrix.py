@@ -52,6 +52,28 @@ def _sorted_merge(
     return merged
 
 
+def _fill_rows(
+    data: np.ndarray,
+    graph: RDFGraph,
+    subjects: Sequence[URI],
+    row_pos: Dict[URI, int],
+    col_pos: Dict[URI, int],
+    exclude_type: bool,
+) -> None:
+    """Set the 1-cells of ``subjects``' rows of ``data`` from ``graph``."""
+    try:
+        for s in subjects:
+            row = data[row_pos[s]]
+            for p in graph.properties_of(s, exclude_type=exclude_type):
+                row[col_pos[p]] = True
+    except KeyError as error:
+        raise RDFError(
+            f"delta does not match this matrix: property {error} of touched "
+            f"subject {s!r} is not a column (was the matrix built from the "
+            "pre-delta state of this graph?)"
+        ) from None
+
+
 class PropertyMatrix:
     """A labelled boolean matrix: rows are subjects, columns are properties.
 
@@ -169,7 +191,10 @@ class PropertyMatrix:
         exclude_type=exclude_type)`` — bit-identical rows, labels and
         order — but only the delta's subjects are recomputed: untouched
         rows are block-copied and the subject/property universes are
-        updated by sorted merge instead of a full re-sort.
+        updated by sorted merge instead of a full re-sort.  When no label
+        enters or leaves either universe (the common one-triple toggle),
+        the labels and index maps are shared with ``self`` and only the
+        touched rows of a copy of the data are rewritten.
         """
         touched_subjects = sorted(delta.subjects)
         touched_properties = sorted(delta.properties)
@@ -194,10 +219,14 @@ class PropertyMatrix:
             p for p in touched_properties
             if p not in self._property_index and graph.has_predicate(p)
         ]
+        recompute = [s for s in touched_subjects if graph.has_subject(s)]
+        name = self.name if name is None else name
+        if not (removed_subjects or added_subjects or removed_properties or added_properties):
+            return self._with_rows(graph, recompute, exclude_type, name)
+
         subjects = _sorted_merge(self._subjects, added_subjects, removed_subjects)
         properties = _sorted_merge(self._properties, added_properties, removed_properties)
 
-        recompute = [s for s in touched_subjects if graph.has_subject(s)]
         recompute_set = set(recompute)
         row_pos = {s: i for i, s in enumerate(subjects)}
         col_pos = {p: j for j, p in enumerate(properties)}
@@ -229,20 +258,30 @@ class PropertyMatrix:
             else:
                 data[new_rows, :] = self._data[old_rows, :]
 
-        try:
-            for s in recompute:
-                row = data[row_pos[s]]
-                for p in graph.properties_of(s, exclude_type=exclude_type):
-                    row[col_pos[p]] = True
-        except KeyError as error:
-            raise RDFError(
-                f"delta does not match this matrix: property {error} of touched "
-                f"subject {s!r} is not a column (was the matrix built from the "
-                "pre-delta state of this graph?)"
-            ) from None
-        return PropertyMatrix(
-            data, subjects, properties, name=self.name if name is None else name
-        )
+        _fill_rows(data, graph, recompute, row_pos, col_pos, exclude_type)
+        return PropertyMatrix(data, subjects, properties, name=name)
+
+    def _with_rows(
+        self, graph: RDFGraph, recompute: List[URI], exclude_type: bool, name: str
+    ) -> "PropertyMatrix":
+        """:meth:`apply_delta` when no label enters or leaves either universe.
+
+        Rows and columns keep their positions, so the labels and index
+        maps are shared with ``self`` and only the touched rows of a copy
+        of the data are rewritten.
+        """
+        data = np.array(self._data, dtype=bool)
+        rows = [self._subject_index[s] for s in recompute]
+        data[rows] = False
+        _fill_rows(data, graph, recompute, self._subject_index, self._property_index, exclude_type)
+        result = object.__new__(PropertyMatrix)
+        result._data = data
+        result._subjects = self._subjects
+        result._properties = self._properties
+        result._subject_index = self._subject_index
+        result._property_index = self._property_index
+        result.name = name
+        return result
 
     @classmethod
     def from_rows(

@@ -10,23 +10,51 @@ and examples need:
 
 Blank nodes and typed/language-tagged literals are intentionally out of
 scope — the paper's data model is ``U × U × (U ∪ L)``.
+
+**The line grammar.**  Every line goes through one compiled regular
+expression first (``_FAST_LINE``): it matches the common shape
+``<s> <p> <o> .`` or ``<s> <p> "lexical" .`` whose lexical form has no
+backslash, with an optional ``^^<…>`` or ``@tag`` suffix that is
+discarded.  A line it does not match — a comment, a blank line, an escape,
+a trailing ``# comment``, anything malformed — goes to the strict
+character scanner (``_parse_line``), the only code that rejects a line's
+content with :class:`~repro.exceptions.ParseError`, so those messages,
+lines and columns are the scanner's alone.  Both routes give the same triple for
+every line the fast match accepts (``tests/test_rdf_ntriples.py`` runs a
+corpus of edge lines through both).
+
+**The parse-and-intern kernel.**  :func:`intern_ntriples` turns a file or
+binary stream straight into interned ``(s_id, p_id, o_id)`` triples of a
+given :class:`~repro.rdf.interning.TermDictionary`, without a
+:class:`Triple` per line: two per-call token caches map the URI strings
+and the literal lexical forms the fast match yields to their IDs, so a
+repeated term costs one ``str`` dictionary probe.  A cache miss interns in file
+order, so the dictionary's first-seen ID order is exactly that of
+interning the parsed triples one by one.  Each cache is cleared when it
+would pass ``_TOKEN_CACHE_ENTRIES`` entries, which bounds its memory
+independently of the input.  Both N-Triples builds read from the kernel:
+:func:`load_ntriples` (and :func:`parse_ntriples`) add its ID triples to
+an :class:`RDFGraph`, and the out-of-core build
+(:mod:`repro.storage.outofcore`) batches them into its spill runs.
 """
 
 from __future__ import annotations
 
 import io
+import re
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, List, TextIO, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, TextIO, Tuple, Union
 
 from repro.exceptions import ParseError
 from repro.rdf.graph import RDFGraph
+from repro.rdf.interning import TermDictionary
 from repro.rdf.terms import Literal, Triple, URI
 
 __all__ = [
     "parse_ntriples",
     "iter_ntriples",
     "iter_ntriples_buffered",
-    "iter_ntriples_chunks",
+    "intern_ntriples",
     "load_ntriples",
     "dumps_ntriples",
     "dump_ntriples",
@@ -43,6 +71,23 @@ _BOM = "\ufeff"
 #: Default read size of the buffered line reader: large enough that syscall
 #: overhead is negligible, small enough to stay cache-resident.
 DEFAULT_BUFFER_BYTES = 1 << 16
+
+#: The common line shape, matched in one step: two URIs, then a URI or a
+#: backslash-free literal with an optional datatype/language suffix, then
+#: the terminating ``.`` and nothing but whitespace.  Each piece accepts
+#: exactly what the strict scanner accepts at that position (a URI is
+#: every character up to the first ``>``; ``@tag`` runs to a space, tab
+#: or ``.``), so a match always yields the scanner's triple.  Lines keep
+#: their newline in text mode, hence the ``[\r\n]`` before ``\Z``.
+_FAST_LINE = re.compile(
+    r'[ \t]*<([^>]+)>[ \t]*<([^>]+)>[ \t]*'
+    r'(?:<([^>]+)>|"([^"\\]*)"(?:\^\^<[^>]*>|@[^ \t.]*)?)'
+    r'[ \t]*\.[ \t\r\n]*\Z'
+)
+
+#: Entry bound of each per-call token cache of :func:`intern_ntriples`;
+#: a cache that is full is cleared before its next insert.
+_TOKEN_CACHE_ENTRIES = 1 << 16
 
 
 def unescape_literal(text: str) -> str:
@@ -155,6 +200,32 @@ def _parse_line(line: str, line_number: int) -> Triple | None:
     return Triple(subject, predicate, obj)
 
 
+def _match_triple(line: str, line_number: int) -> Triple | None:
+    """The line grammar: the fast match, else the strict scanner."""
+    found = _FAST_LINE.match(line)
+    if found is None:
+        return _parse_line(line, line_number)
+    subject, predicate, obj, lexical = found.groups()
+    return Triple(URI(subject), URI(predicate), URI(obj) if lexical is None else Literal(lexical))
+
+
+def _lines_of_text(source: Union[str, TextIO]) -> Iterable[str]:
+    """The lines of N-Triples text (universal newlines) or of a text stream."""
+    if isinstance(source, str):
+        return io.StringIO(source, newline=None)
+    return source
+
+
+def _triples_of_lines(lines: Iterable[str]) -> Iterator[Triple]:
+    """Number the lines, strip a leading byte-order mark, yield their triples."""
+    for line_number, line in enumerate(lines, start=1):
+        if line_number == 1 and line.startswith(_BOM):
+            line = line[len(_BOM):]
+        triple = _match_triple(line, line_number)
+        if triple is not None:
+            yield triple
+
+
 def iter_ntriples(source: Union[str, TextIO]) -> Iterator[Triple]:
     """Yield triples from N-Triples text or a readable text stream.
 
@@ -163,17 +234,7 @@ def iter_ntriples(source: Union[str, TextIO]) -> Iterator[Triple]:
     string input gets universal-newline treatment (``\\r\\n`` and lone
     ``\\r`` terminate lines) so text and file sources parse identically.
     """
-    stream: TextIO
-    if isinstance(source, str):
-        stream = io.StringIO(source, newline=None)
-    else:
-        stream = source
-    for line_number, line in enumerate(stream, start=1):
-        if line_number == 1 and line.startswith(_BOM):
-            line = line[len(_BOM):]
-        triple = _parse_line(line, line_number)
-        if triple is not None:
-            yield triple
+    return _triples_of_lines(_lines_of_text(source))
 
 
 def _iter_lines_buffered(stream: BinaryIO, buffer_bytes: int) -> Iterator[bytes]:
@@ -204,6 +265,27 @@ def _iter_lines_buffered(stream: BinaryIO, buffer_bytes: int) -> Iterator[bytes]
         yield pending
 
 
+def _lines_of_binary(source: Union[str, Path, BinaryIO], buffer_bytes: int) -> Iterator[str]:
+    """Decoded lines of a file path or binary stream, read in bounded buffers."""
+    if buffer_bytes < 1:
+        raise ParseError(f"buffer_bytes must be >= 1, got {buffer_bytes}")
+
+    def _decoded(stream: BinaryIO) -> Iterator[str]:
+        for line_number, raw in enumerate(_iter_lines_buffered(stream, buffer_bytes), start=1):
+            try:
+                yield raw.decode("utf-8")
+            except UnicodeDecodeError as error:
+                raise ParseError(
+                    f"undecodable UTF-8 bytes: {error}", line=line_number, column=1
+                ) from None
+
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as handle:
+            yield from _decoded(handle)
+    else:
+        yield from _decoded(source)
+
+
 def iter_ntriples_buffered(
     source: Union[str, Path, BinaryIO], *, buffer_bytes: int = DEFAULT_BUFFER_BYTES
 ) -> Iterator[Triple]:
@@ -217,66 +299,85 @@ def iter_ntriples_buffered(
     coordinates, and tolerates the same leading byte-order mark — the
     out-of-core differential suite proves the two paths triple-identical.
     """
-    if buffer_bytes < 1:
-        raise ParseError(f"buffer_bytes must be >= 1, got {buffer_bytes}")
-
-    def _lines(stream: BinaryIO) -> Iterator[Triple]:
-        for line_number, raw in enumerate(_iter_lines_buffered(stream, buffer_bytes), start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as error:
-                raise ParseError(
-                    f"undecodable UTF-8 bytes: {error}", line=line_number, column=1
-                ) from None
-            if line_number == 1 and line.startswith(_BOM):
-                line = line[len(_BOM):]
-            triple = _parse_line(line, line_number)
-            if triple is not None:
-                yield triple
-
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as handle:
-            yield from _lines(handle)
-    else:
-        yield from _lines(source)
+    return _triples_of_lines(_lines_of_binary(source, buffer_bytes))
 
 
-def iter_ntriples_chunks(
+class _TokenCache(dict):
+    """A bounded ``str -> term ID`` map that interns on a miss."""
+
+    __slots__ = ("_intern",)
+
+    def __init__(self, intern: Callable[[str], int]):
+        super().__init__()
+        self._intern = intern
+
+    def __missing__(self, token: str) -> int:
+        if len(self) >= _TOKEN_CACHE_ENTRIES:
+            self.clear()
+        term_id = self[token] = self._intern(token)
+        return term_id
+
+
+def _intern_lines(
+    lines: Iterable[str], dictionary: TermDictionary
+) -> Iterator[Tuple[int, int, int]]:
+    """The parse-and-intern kernel over decoded lines (see the module docstring)."""
+    intern = dictionary.intern
+    uri_ids = _TokenCache(lambda token: intern(URI(token)))
+    literal_ids = _TokenCache(lambda token: intern(Literal(token)))
+    match = _FAST_LINE.match
+    for line_number, line in enumerate(lines, start=1):
+        if line_number == 1 and line.startswith(_BOM):
+            line = line[len(_BOM):]
+        found = match(line)
+        if found is not None:
+            subject, predicate, obj, lexical = found.groups()
+            yield (
+                uri_ids[subject],
+                uri_ids[predicate],
+                uri_ids[obj] if lexical is None else literal_ids[lexical],
+            )
+            continue
+        triple = _parse_line(line, line_number)
+        if triple is not None:
+            yield intern(triple.subject), intern(triple.predicate), intern(triple.object)
+
+
+def intern_ntriples(
     source: Union[str, Path, BinaryIO],
-    chunk_triples: int,
+    dictionary: TermDictionary,
     *,
     buffer_bytes: int = DEFAULT_BUFFER_BYTES,
-) -> Iterator[List[Triple]]:
-    """Yield lists of at most ``chunk_triples`` triples from a file or stream.
+) -> Iterator[Tuple[int, int, int]]:
+    """Yield the interned ``(s_id, p_id, o_id)`` triples of a file or binary stream.
 
-    The unit of work of the out-of-core build pipeline: each yielded chunk
-    is an independent batch the caller can intern, sort and spill before
-    the next one is even read — the iterator never holds more than one
-    chunk of parsed triples (plus one read buffer) in memory.
+    Reads ``source`` like :func:`iter_ntriples_buffered` (same grammar,
+    same :class:`~repro.exceptions.ParseError`, bounded memory) and
+    interns each term into ``dictionary`` in file order, so the
+    dictionary ends up exactly as if every parsed triple's subject,
+    predicate and object had been interned in turn.  Repeated triples are
+    yielded again; deduplication is the consumer's.
     """
-    if chunk_triples < 1:
-        raise ParseError(f"chunk_triples must be >= 1, got {chunk_triples}")
-    batch: List[Triple] = []
-    for triple in iter_ntriples_buffered(source, buffer_bytes=buffer_bytes):
-        batch.append(triple)
-        if len(batch) >= chunk_triples:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    return _intern_lines(_lines_of_binary(source, buffer_bytes), dictionary)
+
+
+def _graph_of_lines(lines: Iterable[str], name: str) -> RDFGraph:
+    graph = RDFGraph(name=name)
+    add = graph._add_ids
+    for s_id, p_id, o_id in _intern_lines(lines, graph.term_dictionary):
+        add(s_id, p_id, o_id)
+    return graph
 
 
 def parse_ntriples(text: str, name: str = "") -> RDFGraph:
     """Parse N-Triples ``text`` into a fresh :class:`RDFGraph`."""
-    return RDFGraph(iter_ntriples(text), name=name)
+    return _graph_of_lines(_lines_of_text(text), name)
 
 
 def load_ntriples(path: Union[str, Path], name: str = "") -> RDFGraph:
     """Load an N-Triples file from ``path`` into a fresh :class:`RDFGraph`."""
     path = Path(path)
-    graph = RDFGraph(name=name or path.stem)
-    graph.update(iter_ntriples_buffered(path))
-    return graph
+    return _graph_of_lines(_lines_of_binary(path, DEFAULT_BUFFER_BYTES), name or path.stem)
 
 
 def dumps_ntriples(triples: Iterable[Triple], sort: bool = True) -> str:

@@ -9,13 +9,13 @@ artifact chain as an external-memory pipeline in three bounded phases,
 following the shape of disk-based RDF stores (keyed index partitions over
 pooled term buffers) rather than their machinery:
 
-1. **Parse & spill** — the N-Triples source is stream-parsed in chunks of
-   ``chunk_triples`` lines (:func:`repro.rdf.ntriples.iter_ntriples_chunks`
-   never holds more than one chunk), every term is interned in file order —
-   *exactly* the order the in-memory parser would intern, which is what
-   makes the resulting ``TermDictionary`` bit-identical — and each chunk is
-   lowered to an ``(n, 3) int32`` ID-triple array, sorted, deduplicated and
-   spilled as one ``.npy`` run segment.
+1. **Parse & spill** — :func:`repro.rdf.ntriples.intern_ntriples`, the
+   parse-and-intern kernel the in-memory ``load_ntriples`` reads from too,
+   streams the N-Triples source and yields ID triples, interning every term
+   in file order — *exactly* the order the in-memory build interns, which
+   is what makes the resulting ``TermDictionary`` bit-identical.  Each
+   batch of ``chunk_triples`` of them becomes an ``(n, 3) int32`` array,
+   sorted, deduplicated and spilled as one ``.npy`` run segment.
 2. **Scatter** — subjects are sorted by URI (the ``PropertyMatrix`` row
    order) and split into ``partitions`` contiguous row ranges; each run is
    re-read (memory-mapped) and its rows appended to the partition spill
@@ -39,7 +39,8 @@ payload bit-identical to the in-memory path across chunk/partition grids.
 
 **Memory model.**  Resident at peak: the term dictionary (the irreducible
 vocabulary — every disk-backed RDF store keeps an equivalent term pool),
-a few boolean/int flag arrays of vocabulary length, one parsed chunk, one
+a few boolean/int flag arrays of vocabulary length, the parser's token
+caches (bounded by a fixed entry count), one chunk of ID triples, one
 run or partition of ID-triples, one partition-height matrix block, and the
 signature accumulator (one packed row + member IDs per *distinct*
 signature — the same asymptotic footprint the signature table itself has).
@@ -52,6 +53,7 @@ import os
 import shutil
 import tempfile
 import uuid
+from itertools import islice
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -60,7 +62,7 @@ import numpy as np
 from repro.exceptions import SnapshotError
 from repro.rdf.interning import NO_ID, TermDictionary
 from repro.rdf.namespaces import RDF
-from repro.rdf.ntriples import DEFAULT_BUFFER_BYTES, iter_ntriples_chunks
+from repro.rdf.ntriples import DEFAULT_BUFFER_BYTES, intern_ntriples
 from repro.rdf.terms import coerce_object
 from repro.storage.snapshots import SnapshotInfo, SnapshotWriter, _encode_terms
 from repro.telemetry import current as current_telemetry
@@ -226,19 +228,18 @@ def _build(
 ) -> SnapshotInfo:
     """The three-phase pipeline body (spill dir and writer owned by the caller)."""
     dictionary = TermDictionary()
-    intern = dictionary.intern
 
     # ---------------- Phase 1: parse, intern, spill sorted runs ---------- #
     run_paths: List[Path] = []
     is_subject = _VocabFlags()
     is_typed = _VocabFlags() if sort_term is not None else None
+    triples = intern_ntriples(source_path, dictionary, buffer_bytes=buffer_bytes)
     with telemetry.span("outofcore.parse"):
-        for batch in iter_ntriples_chunks(source_path, chunk, buffer_bytes=buffer_bytes):
-            ids = np.empty((len(batch), 3), dtype=np.int32)
-            for i, (s, p, o) in enumerate(batch):
-                ids[i, 0] = intern(s)
-                ids[i, 1] = intern(p)
-                ids[i, 2] = intern(o)
+        while True:
+            batch = list(islice(triples, chunk))
+            if not batch:
+                break
+            ids = np.array(batch, dtype=np.int32)
             ids = _dedup_sorted_rows(ids[np.lexsort((ids[:, 2], ids[:, 1], ids[:, 0]))])
             vocab = len(dictionary)
             is_subject.mark(ids[:, 0], vocab)

@@ -43,6 +43,7 @@ not at all, never partially.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -451,14 +452,13 @@ class SnapshotWriter:
                     pass  # a concurrent writer already swapped the old one away
             try:
                 os.rename(staging, target)
-            except OSError:
-                if (target / MANIFEST_NAME).exists():
-                    # Lost the final rename: a complete snapshot from a
-                    # concurrent writer is in place; ours is redundant.
-                    shutil.rmtree(staging)
-                    manifest = _read_manifest(target)
-                else:
+            except OSError as error:
+                if error.errno not in (errno.ENOTEMPTY, errno.EEXIST):
                     raise
+                # Lost the final rename: only complete snapshots are ever
+                # renamed to ``path``, so a concurrent writer's is in place
+                # (or is being swapped for a newer one); ours is redundant.
+                shutil.rmtree(staging)
             if moved_aside:
                 shutil.rmtree(replaced)
         except Exception:

@@ -206,6 +206,42 @@ class TestApplyDeltaDifferential:
                     graph, matrix, table, f"chain seed={seed} step={step}"
                 )
 
+    def test_single_triple_toggles_equal_rebuild(self):
+        """One-triple adds and removes, with and without a label entering or leaving."""
+        seen = {"same universe": 0, "universe changed": 0}
+        for seed in range(40):
+            rng = np.random.default_rng(424_000 + seed)
+            graph = random_graph(rng)
+            matrix = PropertyMatrix.from_graph(graph)
+            subjects = sorted(graph.subjects()) + [EX.fresh_subject]
+            properties = sorted(graph.properties()) + [EX.fresh_property, RDF.type]
+            objects = [EX.o1, Literal("1"), EX.SortA]
+            for step in range(12):
+                triple = (
+                    subjects[int(rng.integers(len(subjects)))],
+                    properties[int(rng.integers(len(properties)))],
+                    objects[int(rng.integers(len(objects)))],
+                )
+                if triple in graph:
+                    delta = graph.remove_triples([triple])
+                else:
+                    delta = graph.add_triples([triple])
+                before = matrix.data.copy()
+                patched = matrix.apply_delta(graph, delta)
+                context = f"seed={seed} step={step} triple={triple}"
+                assert patched == PropertyMatrix.from_graph(graph), context
+                assert np.array_equal(matrix.data, before), context
+                same = (
+                    patched.subjects == matrix.subjects
+                    and patched.properties == matrix.properties
+                )
+                if same:
+                    # The fast path shares the labels with the old matrix.
+                    assert patched.subjects is matrix.subjects, context
+                seen["same universe" if same else "universe changed"] += 1
+                matrix = patched
+        assert min(seen.values()) >= 50, seen
+
     def test_empty_delta_is_exact_noop(self):
         rng = np.random.default_rng(5)
         graph = random_graph(rng)

@@ -13,17 +13,19 @@ tests pin the boundary cases by hand.
 from __future__ import annotations
 
 import io
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ParseError
-from repro.rdf.ntriples import (
-    iter_ntriples,
-    iter_ntriples_buffered,
-    iter_ntriples_chunks,
-)
+from repro.api import Dataset
+from repro.exceptions import ParseError, SnapshotError
+from repro.rdf.ntriples import iter_ntriples, iter_ntriples_buffered, parse_ntriples
+from repro.storage import outofcore
 
 _LINES = st.lists(
     st.sampled_from(
@@ -85,19 +87,39 @@ def test_mixed_newlines_within_one_document(lines, newlines, buffer_bytes):
     chunk_triples=st.integers(min_value=1, max_value=5),
 )
 def test_chunks_concatenate_to_full_parse(lines, buffer_bytes, chunk_triples):
-    """iter_ntriples_chunks partitions the triple stream without loss."""
+    """The out-of-core build's spill runs partition the triple stream without loss.
+
+    Every run but the last holds a full chunk of parsed lines (fewer rows
+    only where the chunk repeated a triple), and the built snapshot has
+    the in-memory parse's term list and triple set.
+    """
     text = "\n".join(lines) + "\n" if lines else ""
-    chunks = list(
-        iter_ntriples_chunks(
-            io.BytesIO(text.encode("utf-8")),
-            chunk_triples,
-            buffer_bytes=buffer_bytes,
-        )
-    )
-    flat = [triple for chunk in chunks for triple in chunk]
-    assert flat == _reference(text)
-    assert all(len(chunk) <= chunk_triples for chunk in chunks)
-    assert all(len(chunk) == chunk_triples for chunk in chunks[:-1])
+    n_parsed = len(_reference(text))
+    run_sizes = []
+    real_save = np.save
+
+    def recording_save(path, array, **kwargs):
+        if Path(path).name.startswith("run-"):
+            run_sizes.append(len(array))
+        return real_save(path, array, **kwargs)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "data.nt"
+        source.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(outofcore.np, "save", recording_save):
+            outofcore.build_out_of_core(
+                source,
+                Path(tmp) / "snap",
+                chunk_triples=chunk_triples,
+                partitions=2,
+                buffer_bytes=buffer_bytes,
+            )
+        graph = Dataset.load(Path(tmp) / "snap").graph
+        expected = parse_ntriples(text)
+        assert list(graph.term_dictionary) == list(expected.term_dictionary)
+        assert set(graph) == set(expected)
+    assert len(run_sizes) == -(-n_parsed // chunk_triples)
+    assert all(size <= chunk_triples for size in run_sizes)
 
 
 # --------------------------------------------------------------------- #
@@ -187,8 +209,8 @@ def test_undecodable_bytes_raise_parse_error():
 def test_invalid_buffer_and_chunk_sizes_rejected():
     with pytest.raises(ParseError):
         list(iter_ntriples_buffered(io.BytesIO(b""), buffer_bytes=0))
-    with pytest.raises(ParseError):
-        list(iter_ntriples_chunks(io.BytesIO(b""), 0))
+    with pytest.raises(SnapshotError):
+        outofcore.build_out_of_core(io.BytesIO(b""), "unused", chunk_triples=0)
 
 
 def test_path_and_stream_sources_agree(tmp_path):

@@ -9,6 +9,7 @@ is graceful (in-flight work completes) and the executor is reusable.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import signal
@@ -111,14 +112,23 @@ class TestDeterminism:
             elastic.execute([_ev(), _mut(1), _mut(2)])
             inline.execute([_ev(), _mut(1), _mut(2)])
             # ... then force boots: a wide batch of distinct datasets makes
-            # the backlog exceed the single worker.
-            wide = [
-                _ev(dataset={"builtin": "dbpedia-persons",
-                             "params": {"n_subjects": 300, "seed": seed}})
-                for seed in range(5)
-            ]
-            assert all(e["ok"] for e in elastic.execute(wide))
-            assert _wait_for(lambda: elastic.stats()["peak_workers"] > 1)
+            # the backlog exceed the single worker.  The worker may drain a
+            # batch before the scaler's tick sees it, so fresh batches go in
+            # until a boot happens (each round's datasets are new, so none is
+            # answered from the worker's cache).
+            rounds = itertools.count()
+
+            def boot_by_backlog() -> bool:
+                first = 5 * next(rounds)
+                wide = [
+                    _ev(dataset={"builtin": "dbpedia-persons",
+                                 "params": {"n_subjects": 300, "seed": seed}})
+                    for seed in range(first, first + 5)
+                ]
+                assert all(e["ok"] for e in elastic.execute(wide))
+                return elastic.stats()["peak_workers"] > 1
+
+            assert _wait_for(boot_by_backlog, interval=0)
             # Whichever (possibly fresh) worker serves this, the answer is
             # the inline one: the log replay converged its registry.
             scaled = elastic.execute([_ev(), _ev("Sim")])
