@@ -294,10 +294,12 @@ class Dataset:
 
         The snapshot's matrix and signature table are restored immediately
         (memory-mapped read-only when ``mmap`` is true, so the open is
-        I/O-bound); the RDF graph, whose hash indexes are Python dicts and
-        therefore genuinely expensive to materialise, is restored lazily on
-        first :attr:`graph` access — a handle that only answers
-        matrix/table queries never pays for it.  ``stats`` reports which
+        I/O-bound).  The RDF graph is restored on first :attr:`graph`
+        access, as a column-backed graph over the ``graph_triples``
+        segment (mapped too under ``mmap``): that costs decoding the term
+        dictionary and no triple replay, and the graph builds its hash
+        indexes only when first asked for something its columns cannot
+        answer (a mutation, say).  ``stats`` reports which
         stages came from disk (``*_from_snapshot``), the persisted
         mutation generation is carried over so ``mutate`` + re-:meth:`save`
         round-trips, and ``name`` overrides the manifest's display name.
@@ -387,8 +389,10 @@ class Dataset:
         memory).  After :meth:`load` the matrix's cell array stays mapped
         while the signature table is rebuilt fully resident, and a
         mutation patches the matrix into a fresh heap array — the report
-        reflects both truthfully.  The graph stage has no array backing
-        (hash indexes are Python dicts); its ``resident_bytes`` is the
+        reflects both truthfully.  A column-backed graph is accounted by
+        its ID-triple array like the other stages (mapped when it is a
+        view of the snapshot segment); once it has built its hash indexes
+        (Python dicts, no array backing) its ``resident_bytes`` is the
         12-bytes-per-triple ID payload, a deliberate lower bound.
 
         Does not force any build: unbuilt stages report ``built: 0`` and
@@ -414,10 +418,18 @@ class Dataset:
                 }
 
             unbuilt = {"built": 0, "mmap_segments": 0, "mapped_bytes": 0, "resident_bytes": 0}
-            if self._graph is not None:
-                report["graph"] = dict(unbuilt, built=1, resident_bytes=12 * len(self._graph))
-            else:
+            if self._graph is None:
                 report["graph"] = dict(unbuilt)
+            else:
+                # The graph's backing array while column-backed (read once:
+                # an index build may drop it meanwhile).
+                columns = self._graph._columns
+                if columns is not None:
+                    account("graph", [columns])
+                else:
+                    report["graph"] = dict(
+                        unbuilt, built=1, resident_bytes=12 * len(self._graph)
+                    )
             if self._matrix is not None:
                 account("matrix", [self._matrix.data])
             else:

@@ -1,11 +1,24 @@
-"""An indexed, in-memory RDF graph (triple store) over interned term IDs.
+"""An in-memory RDF graph (triple store) over interned term IDs.
 
 This is the storage substrate on which the whole reproduction sits.  Terms
 are interned into dense ``int32`` IDs through a
-:class:`~repro.rdf.interning.TermDictionary`, and the graph keeps three
-hash indexes (SPO, POS, OSP) *over those IDs* so that the access patterns
-the paper needs are all O(1)/O(result) while hashing and equality cost a
-machine word instead of a string:
+:class:`~repro.rdf.interning.TermDictionary`, and a graph holds its
+triples in one of two forms over those IDs:
+
+* **columns** — one read-only ``(n, 3) int32`` array of distinct ID
+  triples.  Parsed graphs (:func:`~repro.rdf.ntriples.load_ntriples`,
+  :func:`~repro.rdf.ntriples.parse_ntriples`, sorted by ID) and graphs
+  reopened from a snapshot (a view of its memory-mapped ``graph_triples``
+  segment) start this way.  The columns answer ``len``, ``S(D)``,
+  ``P(D)``, the ``M(D)`` coordinates, the ID-triple array and ``D_t``,
+  which is all an N-Triples → signature table → snapshot build reads.
+* **indexes** — three hash indexes (SPO, POS, OSP) so that every other
+  access pattern is O(1)/O(result) while hashing and equality cost a
+  machine word instead of a string.  They are built from the columns,
+  once, on the first mutation, pattern match, iteration or set operation
+  (the ``rdf.graph_index`` span), and the columns are dropped then.
+
+The access patterns the paper needs:
 
 * ``S(D)``     — the set of subjects mentioned in ``D``;
 * ``P(D)``     — the set of properties mentioned in ``D``;
@@ -23,6 +36,8 @@ the vectorised signature pipeline consumes directly — see DESIGN.md,
 
 from __future__ import annotations
 
+import gc
+import threading
 from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
@@ -33,8 +48,35 @@ from repro.exceptions import RDFError
 from repro.rdf.interning import NO_ID, TermDictionary
 from repro.rdf.namespaces import RDF
 from repro.rdf.terms import Literal, Term, Triple, URI, coerce_object, coerce_uri
+from repro.telemetry import current as current_telemetry
 
-__all__ = ["RDFGraph", "GraphDelta"]
+__all__ = ["RDFGraph", "GraphDelta", "distinct_triple_rows"]
+
+#: Serialises index builds, so two threads never build one graph's indexes
+#: twice and the collector pause below nests instead of interleaving.
+_INDEX_LOCK = threading.Lock()
+
+
+def distinct_triple_rows(ids: np.ndarray) -> np.ndarray:
+    """Sort an ``(n, 3)`` ID-triple array by (s, p, o) and drop repeated rows."""
+    rows = ids[np.lexsort((ids[:, 2], ids[:, 1], ids[:, 0]))]
+    if len(rows) < 2:
+        return rows
+    keep = np.ones(len(rows), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
+    return rows[keep]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D integer array.
+
+    A sort and an adjacent compare: on a 106k-row ID column (NumPy 2.4)
+    this takes about 1 ms where ``np.unique`` takes 6–40 ms.
+    """
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 @dataclass(frozen=True)
@@ -101,9 +143,12 @@ class RDFGraph:
         constructors pass the parent's dictionary so derived graphs share
         one ID space (IDs are never recycled, so sharing is always safe);
         by default every graph gets its own dictionary.
+
+    A graph built this way is indexed from the start; see
+    :meth:`from_triple_ids` for the column-backed form.
     """
 
-    __slots__ = ("_dict", "_spo", "_pos", "_osp", "_size", "name")
+    __slots__ = ("_dict", "_columns", "_spo", "_pos", "_osp", "_size", "name")
 
     def __init__(
         self,
@@ -112,6 +157,9 @@ class RDFGraph:
         dictionary: Optional[TermDictionary] = None,
     ):
         self._dict: TermDictionary = dictionary if dictionary is not None else TermDictionary()
+        # Read-only (n, 3) int32 distinct ID triples while column-backed,
+        # None once the indexes below exist (see _index).
+        self._columns: Optional[np.ndarray] = None
         # subject id -> predicate id -> set of object ids
         self._spo: Dict[int, Dict[int, Set[int]]] = {}
         # predicate id -> subject id -> set of object ids
@@ -122,6 +170,88 @@ class RDFGraph:
         self.name = name
         if triples is not None:
             self.update(triples)
+
+    @classmethod
+    def from_triple_ids(
+        cls, ids: np.ndarray, dictionary: TermDictionary, name: str = ""
+    ) -> "RDFGraph":
+        """A column-backed graph over an ``(n, 3) int32`` array of term IDs.
+
+        The rows must be distinct (:func:`distinct_triple_rows` makes them
+        so) and every ID must decode in ``dictionary``, which the graph
+        shares.  The array is kept, not copied: the graph holds a read-only
+        view of it, so a memory-mapped snapshot segment stays mapped.  The
+        hash indexes are built from it on first need (see the module
+        docstring).
+        """
+        ids = np.asarray(ids)
+        if ids.size == 0:
+            ids = ids.reshape(0, 3)
+        if ids.dtype != np.int32 or ids.ndim != 2 or ids.shape[1] != 3:
+            raise RDFError(
+                f"triple IDs must be an (n, 3) int32 array, got {ids.dtype} {ids.shape}"
+            )
+        columns = ids.view()
+        columns.flags.writeable = False
+        graph = cls(name=name, dictionary=dictionary)
+        graph._spo = graph._pos = graph._osp = None
+        graph._size = len(columns)
+        graph._columns = columns
+        return graph
+
+    def _index(self) -> None:
+        """Build the SPO/POS/OSP hash indexes from the columns, then drop them.
+
+        Idempotent, and the only place the columns are dropped: every
+        mutator and every pattern, iteration or set operation calls it
+        first.  The three dicts are filled locally and assigned before
+        ``_columns`` is cleared, so a concurrent reader sees either the
+        columns or the finished indexes.  The cyclic garbage collector is
+        paused meanwhile — the indexes are one tracked set or dict per
+        subject, property, (s, p) pair and object, so collections would
+        otherwise rescan an ever larger heap — and the caller's collector
+        state is restored afterwards, whether or not the build raised.
+        """
+        if self._columns is None:
+            return
+        with _INDEX_LOCK:
+            columns = self._columns
+            if columns is None:
+                return
+            with current_telemetry().span("rdf.graph_index"):
+                spo: Dict[int, Dict[int, Set[int]]] = {}
+                pos: Dict[int, Dict[int, Set[int]]] = {}
+                osp: Dict[int, Set[Tuple[int, int]]] = {}
+                collecting = gc.isenabled()
+                gc.disable()
+                try:
+                    for s_id, p_id, o_id in columns.tolist():
+                        predicates = spo.get(s_id)
+                        if predicates is None:
+                            predicates = spo[s_id] = {}
+                        objects = predicates.get(p_id)
+                        if objects is None:
+                            predicates[p_id] = {o_id}
+                        else:
+                            objects.add(o_id)
+                        subjects = pos.get(p_id)
+                        if subjects is None:
+                            subjects = pos[p_id] = {}
+                        objects = subjects.get(s_id)
+                        if objects is None:
+                            subjects[s_id] = {o_id}
+                        else:
+                            objects.add(o_id)
+                        pairs = osp.get(o_id)
+                        if pairs is None:
+                            osp[o_id] = {(s_id, p_id)}
+                        else:
+                            pairs.add((s_id, p_id))
+                finally:
+                    if collecting:
+                        gc.enable()
+            self._spo, self._pos, self._osp = spo, pos, osp
+            self._columns = None
 
     # ------------------------------------------------------------------ #
     # Interning helpers
@@ -162,6 +292,8 @@ class RDFGraph:
 
     def _add_ids(self, s_id: int, p_id: int, o_id: int) -> bool:
         """Add an already-interned triple; return ``True`` if the graph changed."""
+        if self._columns is not None:
+            self._index()
         objects = self._spo.setdefault(s_id, {}).setdefault(p_id, set())
         if o_id in objects:
             return False
@@ -178,13 +310,11 @@ class RDFGraph:
             added = 0
             other_term = triples._dict.term_of
             intern = self._dict.intern
-            for s_id, predicates in triples._spo.items():
-                for p_id, objects in predicates.items():
-                    my_s = intern(other_term(s_id))
-                    my_p = intern(other_term(p_id))
-                    for o_id in objects:
-                        if self._add_ids(my_s, my_p, intern(other_term(o_id))):
-                            added += 1
+            for s_id, p_id, o_id in triples.triple_ids().tolist():
+                if self._add_ids(
+                    intern(other_term(s_id)), intern(other_term(p_id)), intern(other_term(o_id))
+                ):
+                    added += 1
             return added
         added = 0
         for triple in triples:
@@ -206,6 +336,7 @@ class RDFGraph:
         o_id = self._dict.id_of(coerce_object(o))
         if NO_ID in (s_id, p_id, o_id):
             return False
+        self._index()
         objects = self._spo.get(s_id, {}).get(p_id)
         if objects is None or o_id not in objects:
             return False
@@ -309,6 +440,7 @@ class RDFGraph:
 
     def clear(self) -> None:
         """Remove every triple from the graph (interned terms are kept)."""
+        self._index()
         self._spo.clear()
         self._pos.clear()
         self._osp.clear()
@@ -335,9 +467,11 @@ class RDFGraph:
             return False
         if NO_ID in (s_id, p_id, o_id):
             return False
+        self._index()
         return o_id in self._spo.get(s_id, {}).get(p_id, ())
 
     def __iter__(self) -> Iterator[Triple]:
+        self._index()
         term = self._dict.term_of
         for s_id, predicates in self._spo.items():
             s = term(s_id)
@@ -381,11 +515,18 @@ class RDFGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" {self.name!r}" if self.name else ""
-        return f"<RDFGraph{label}: {self._size} triples, {len(self._spo)} subjects>"
+        return f"<RDFGraph{label}: {self._size} triples, {self.n_subjects} subjects>"
 
     def copy(self, name: Optional[str] = None) -> "RDFGraph":
-        """Return a shallow copy of the graph (triples are immutable)."""
-        result = RDFGraph(name=self.name if name is None else name, dictionary=self._dict)
+        """Return a shallow copy of the graph (triples are immutable).
+
+        A column-backed graph's copy shares its read-only columns.
+        """
+        name = self.name if name is None else name
+        columns = self._columns
+        if columns is not None:
+            return RDFGraph.from_triple_ids(columns, self._dict, name)
+        result = RDFGraph(name=name, dictionary=self._dict)
         for s_id, predicates in self._spo.items():
             for p_id, objects in predicates.items():
                 for o_id in objects:
@@ -422,6 +563,7 @@ class RDFGraph:
             if o_id == NO_ID:
                 return
 
+        self._index()
         if s_id is not None:
             s = term(s_id)
             predicates = self._spo.get(s_id, {})
@@ -455,6 +597,7 @@ class RDFGraph:
         p_id = self._dict.id_of(coerce_uri(predicate))
         if NO_ID in (s_id, p_id):
             return set()
+        self._index()
         term = self._dict.term_of
         return {term(o_id) for o_id in self._spo.get(s_id, {}).get(p_id, ())}
 
@@ -469,21 +612,29 @@ class RDFGraph:
     def subjects(self) -> Set[URI]:
         """Return ``S(D)``: the set of subjects mentioned in the graph."""
         term = self._dict.term_of
+        columns = self._columns
+        if columns is not None:
+            return {term(s_id) for s_id in _distinct(columns[:, 0]).tolist()}
         return {term(s_id) for s_id in self._spo}
 
     @property
     def n_subjects(self) -> int:
         """``|S(D)|`` without materialising the subject set."""
+        columns = self._columns
+        if columns is not None:
+            return len(_distinct(columns[:, 0]))
         return len(self._spo)
 
     def has_subject(self, subject: object) -> bool:
         """Return ``True`` iff ``subject`` currently has at least one triple."""
         s_id = self._dict.id_of(coerce_uri(subject))
+        self._index()
         return s_id != NO_ID and s_id in self._spo
 
     def has_predicate(self, predicate: object) -> bool:
         """Return ``True`` iff some triple currently uses ``predicate``."""
         p_id = self._dict.id_of(coerce_uri(predicate))
+        self._index()
         return p_id != NO_ID and p_id in self._pos
 
     def properties(self, exclude_type: bool = False) -> Set[URI]:
@@ -494,7 +645,11 @@ class RDFGraph:
         property".
         """
         term = self._dict.term_of
-        props = {term(p_id) for p_id in self._pos}
+        columns = self._columns
+        if columns is not None:
+            props = {term(p_id) for p_id in _distinct(columns[:, 1]).tolist()}
+        else:
+            props = {term(p_id) for p_id in self._pos}
         if exclude_type:
             props.discard(RDF.type)
         return props
@@ -505,6 +660,7 @@ class RDFGraph:
         p_id = self._dict.id_of(coerce_uri(predicate))
         if NO_ID in (s_id, p_id):
             return False
+        self._index()
         return bool(self._spo.get(s_id, {}).get(p_id))
 
     def properties_of(self, subject: object, exclude_type: bool = False) -> Set[URI]:
@@ -512,6 +668,7 @@ class RDFGraph:
         s_id = self._dict.id_of(coerce_uri(subject))
         if s_id == NO_ID:
             return set()
+        self._index()
         term = self._dict.term_of
         props = {term(p_id) for p_id in self._spo.get(s_id, {})}
         if exclude_type:
@@ -523,6 +680,7 @@ class RDFGraph:
         p_id = self._dict.id_of(coerce_uri(predicate))
         if p_id == NO_ID:
             return set()
+        self._index()
         term = self._dict.term_of
         return {term(s_id) for s_id in self._pos.get(p_id, {})}
 
@@ -535,6 +693,7 @@ class RDFGraph:
         type_id = self._dict.id_of(RDF.type)
         if type_id == NO_ID:
             return set()
+        self._index()
         term = self._dict.term_of
         sorts: Set[Term] = set()
         for objects in self._pos.get(type_id, {}).values():
@@ -545,15 +704,21 @@ class RDFGraph:
         """Return ``D_t``: all triples whose subject is declared of sort ``sort``.
 
         This is the subgraph the paper denotes ``D_t = {(s, p, o) ∈ D |
-        (s, type, t) ∈ D}``.
+        (s, type, t) ∈ D}``.  It shares this graph's dictionary.  A
+        column-backed graph answers with a column-backed subgraph: its rows
+        filtered through a typed-subject mask, as out-of-core phase 1 does.
         """
         t = coerce_object(sort)
-        result = RDFGraph(
-            name=name if name is not None else f"{self.name}[{t}]",
-            dictionary=self._dict,
-        )
+        name = name if name is not None else f"{self.name}[{t}]"
         type_id = self._dict.id_of(RDF.type)
         t_id = self._dict.id_of(t)
+        columns = self._columns
+        if columns is not None:
+            typed = np.zeros(len(self._dict), dtype=bool)
+            if NO_ID not in (type_id, t_id):
+                typed[columns[(columns[:, 1] == type_id) & (columns[:, 2] == t_id), 0]] = True
+            return RDFGraph.from_triple_ids(columns[typed[columns[:, 0]]], self._dict, name)
+        result = RDFGraph(name=name, dictionary=self._dict)
         if NO_ID in (type_id, t_id):
             return result
         for subj_id, objects in self._pos.get(type_id, {}).items():
@@ -565,6 +730,7 @@ class RDFGraph:
 
     def entity_subgraph(self, subjects: Iterable, name: str = "") -> "RDFGraph":
         """Return the subgraph of all triples whose subject is in ``subjects``."""
+        self._index()
         result = RDFGraph(name=name, dictionary=self._dict)
         for subject in subjects:
             s_id = self._dict.id_of(coerce_uri(subject))
@@ -581,9 +747,17 @@ class RDFGraph:
     def triple_ids(self) -> np.ndarray:
         """Return all triples as an ``(n, 3) int32`` array of term IDs.
 
-        Row order follows the SPO index (insertion order of subjects and
-        predicates).  Decode columns with :attr:`term_dictionary`.
+        A column-backed graph returns its read-only columns themselves, in
+        their stored order: sorted by (s, p, o) ID for a parsed graph, the
+        segment's order for one reopened from a snapshot.  An indexed graph
+        returns a fresh array in SPO index order (insertion order of
+        subjects and predicates).  Row order is not part of the contract
+        (snapshots compare ``graph_triples`` as a row set).  Decode columns
+        with :attr:`term_dictionary`.
         """
+        columns = self._columns
+        if columns is not None:
+            return columns
         out = np.empty((self._size, 3), dtype=np.int32)
         row = 0
         for s_id, predicates in self._spo.items():
@@ -603,15 +777,21 @@ class RDFGraph:
         constructors consume.  Pairs are deduplicated (the view only records
         *whether* a subject has a property, not how many objects).
         """
-        spo = self._spo
-        n_subjects = len(spo)
-        fanout = np.fromiter(map(len, spo.values()), dtype=np.int64, count=n_subjects)
-        s_out = np.repeat(
-            np.fromiter(spo.keys(), dtype=np.int32, count=n_subjects), fanout
-        )
-        p_out = np.fromiter(
-            chain.from_iterable(spo.values()), dtype=np.int32, count=int(fanout.sum())
-        )
+        columns = self._columns
+        if columns is not None:
+            pairs = _distinct((columns[:, 0].astype(np.int64) << 32) | columns[:, 1])
+            s_out = (pairs >> 32).astype(np.int32)
+            p_out = (pairs & 0xFFFFFFFF).astype(np.int32)
+        else:
+            spo = self._spo
+            n_subjects = len(spo)
+            fanout = np.fromiter(map(len, spo.values()), dtype=np.int64, count=n_subjects)
+            s_out = np.repeat(
+                np.fromiter(spo.keys(), dtype=np.int32, count=n_subjects), fanout
+            )
+            p_out = np.fromiter(
+                chain.from_iterable(spo.values()), dtype=np.int32, count=int(fanout.sum())
+            )
         if exclude_type:
             type_id = self._dict.id_of(RDF.type)
             if type_id != NO_ID:
@@ -621,6 +801,7 @@ class RDFGraph:
 
     def describe(self) -> Dict[str, int]:
         """Return summary statistics (triples, subjects, properties, literals)."""
+        self._index()
         term = self._dict.term_of
         literal_count = sum(1 for o_id in self._osp if isinstance(term(o_id), Literal))
         return {

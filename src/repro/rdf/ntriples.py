@@ -33,9 +33,11 @@ order, so the dictionary's first-seen ID order is exactly that of
 interning the parsed triples one by one.  Each cache is cleared when it
 would pass ``_TOKEN_CACHE_ENTRIES`` entries, which bounds its memory
 independently of the input.  Both N-Triples builds read from the kernel:
-:func:`load_ntriples` (and :func:`parse_ntriples`) add its ID triples to
-an :class:`RDFGraph`, and the out-of-core build
-(:mod:`repro.storage.outofcore`) batches them into its spill runs.
+:func:`load_ntriples` (and :func:`parse_ntriples`) collect its ID triples
+into one array, sort and deduplicate it, and wrap it as a column-backed
+:class:`RDFGraph` (no hash index is built until something asks for one),
+and the out-of-core build (:mod:`repro.storage.outofcore`) batches them
+into its spill runs.
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ import re
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, TextIO, Tuple, Union
 
+import numpy as np
+
 from repro.exceptions import ParseError
-from repro.rdf.graph import RDFGraph
+from repro.rdf.graph import RDFGraph, distinct_triple_rows
 from repro.rdf.interning import TermDictionary
 from repro.rdf.terms import Literal, Triple, URI
 
@@ -362,11 +366,9 @@ def intern_ntriples(
 
 
 def _graph_of_lines(lines: Iterable[str], name: str) -> RDFGraph:
-    graph = RDFGraph(name=name)
-    add = graph._add_ids
-    for s_id, p_id, o_id in _intern_lines(lines, graph.term_dictionary):
-        add(s_id, p_id, o_id)
-    return graph
+    dictionary = TermDictionary()
+    ids = np.fromiter(_intern_lines(lines, dictionary), dtype=np.dtype((np.int32, 3)))
+    return RDFGraph.from_triple_ids(distinct_triple_rows(ids), dictionary, name)
 
 
 def parse_ntriples(text: str, name: str = "") -> RDFGraph:

@@ -2,9 +2,10 @@
 
 The in-memory build path (``load_ntriples`` → ``RDFGraph`` →
 ``PropertyMatrix.from_graph`` → ``SignatureTable.from_matrix``) holds the
-whole triple set, its hash indexes and the dense boolean matrix in RAM at
-once — fine for the paper's benchmark tables, a hard wall for the
-ROADMAP's graphs-bigger-than-RAM ambition.  This module rebuilds the same
+whole triple set (as one ID-triple array: the column-backed graph builds
+no hash index on that path), the term dictionary and the dense boolean
+matrix in RAM at once — fine for the paper's benchmark tables, a hard
+wall for graphs bigger than RAM.  This module rebuilds the same
 artifact chain as an external-memory pipeline in three bounded phases,
 following the shape of disk-based RDF stores (keyed index partitions over
 pooled term buffers) rather than their machinery:
@@ -60,6 +61,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import SnapshotError
+from repro.rdf.graph import distinct_triple_rows
 from repro.rdf.interning import NO_ID, TermDictionary
 from repro.rdf.namespaces import RDF
 from repro.rdf.ntriples import DEFAULT_BUFFER_BYTES, intern_ntriples
@@ -131,15 +133,6 @@ class _VocabFlags:
         if vocab_size > len(self.data):
             self.mark(np.empty(0, dtype=np.int64), vocab_size)
         return self.data[:vocab_size]
-
-
-def _dedup_sorted_rows(rows: np.ndarray) -> np.ndarray:
-    """Drop duplicate rows from a lexicographically sorted ``(n, 3)`` array."""
-    if len(rows) < 2:
-        return rows
-    keep = np.ones(len(rows), dtype=bool)
-    np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
-    return rows[keep]
 
 
 def build_out_of_core(
@@ -240,7 +233,7 @@ def _build(
             if not batch:
                 break
             ids = np.array(batch, dtype=np.int32)
-            ids = _dedup_sorted_rows(ids[np.lexsort((ids[:, 2], ids[:, 1], ids[:, 0]))])
+            ids = distinct_triple_rows(ids)
             vocab = len(dictionary)
             is_subject.mark(ids[:, 0], vocab)
             if is_typed is not None:

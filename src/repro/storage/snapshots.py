@@ -24,7 +24,8 @@ Segments (all aligned with the interned-ID architecture):
 ``terms_blob``       UTF-8 bytes of every interned term, concatenated
 ``terms_offsets``    ``int64[n_terms + 1]`` slice offsets into the blob
 ``terms_kinds``      ``uint8[n_terms]``: 0 = URI, 1 = Literal
-``graph_triples``    ``int32[n_triples, 3]`` (s, p, o) term IDs, SPO order
+``graph_triples``    ``int32[n_triples, 3]`` distinct (s, p, o) term IDs, any
+                     row order
 ``matrix_data``      ``bool[n_subjects, n_properties]`` — M(D) cells
 ``matrix_subject_ids``    ``int32`` row labels as term IDs, row order
 ``matrix_property_ids``   ``int32`` column labels as term IDs, column order
@@ -226,8 +227,10 @@ class EncodedChain:
     :func:`write_encoded_snapshot`.  The split exists for callers holding
     a lock over a *live* chain (``Dataset.save``): encoding must happen
     under the lock — the graph and its dictionary are mutated in place by
-    deltas — but the arrays here are private copies, so the expensive part
-    (segment writes and SHA-256 hashing) can run with the lock released.
+    deltas — but the arrays here are private copies (or, for a
+    column-backed graph, its read-only columns, which a mutation replaces
+    rather than changes), so the expensive part (segment writes and
+    SHA-256 hashing) can run with the lock released.
     """
 
     #: Segment name -> array, exactly as it will be written.
@@ -252,7 +255,8 @@ def encode_chain(
     At least one stage must be given; whichever stages are present are
     encoded (a table-born dataset has no graph to save — the manifest
     records exactly which stages a snapshot carries).  The returned
-    arrays are independent copies of the inputs.
+    arrays are independent copies of the inputs, except that a
+    column-backed graph's read-only columns are written as they are.
     """
     if graph is None and matrix is None and table is None:
         raise SnapshotError("a snapshot needs at least one of graph, matrix or table")
@@ -741,17 +745,18 @@ class Snapshot:
         return TermDictionary(self._term_list())
 
     def load_graph(self) -> RDFGraph:
-        """Replay the triple segment into an indexed :class:`RDFGraph`.
+        """Wrap the triple segment as a column-backed :class:`RDFGraph`.
 
         The graph's dictionary is rebuilt with the stored ID assignment,
         so term IDs in this graph equal the snapshot's — and downstream
         views rebuilt from it are bit-identical to the persisted ones.
-        This is the one reconstruction that is *not* I/O-bound (the hash
-        indexes are Python dicts); ``Dataset.load`` therefore defers it
-        until something actually needs the graph (e.g. a mutation).
+        The graph's columns are the segment itself (a read-only view of
+        the memory-map when the snapshot was opened with ``mmap=True``):
+        no triple is replayed, and the cost is decoding the dictionary and
+        one bounds check over the IDs.  The graph builds its hash indexes
+        on first need (a mutation, say), not here.
         """
         dictionary = self.load_dictionary()
-        graph = RDFGraph(name=self.info.name, dictionary=dictionary)
         triples = self._load_segment("graph_triples")
         if triples.ndim != 2 or (triples.size and triples.shape[1] != 3):
             raise SnapshotError(
@@ -766,10 +771,7 @@ class Snapshot:
                     f"snapshot triple segment references term IDs outside the "
                     f"dictionary (0..{n_terms - 1})"
                 )
-        add = graph._add_ids
-        for s_id, p_id, o_id in triples.tolist():
-            add(s_id, p_id, o_id)
-        return graph
+        return RDFGraph.from_triple_ids(triples, dictionary, name=self.info.name)
 
     def load_matrix(self) -> PropertyMatrix:
         """Reconstruct the :class:`PropertyMatrix` over the mapped data segment."""

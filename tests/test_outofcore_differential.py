@@ -7,8 +7,8 @@ same matrix, same signature table (supports, counts, members), same query
 payloads.  The strongest form of that claim is checked first: every
 snapshot segment except ``graph_triples`` must be **byte-identical**
 (equal SHA-256 in the manifest) between the two builds — ``graph_triples``
-alone is allowed to reorder rows because triples are a set and the loader
-replays them through set-semantics ``RDFGraph.add``.
+alone is allowed to reorder rows because triples are a set: the loaded
+graph treats the segment as a set of distinct rows.
 
 The suite sweeps every built-in dataset plus 150+ seeded random graphs
 across a chunk-size grid (including ``chunk=1`` and a chunk far larger

@@ -444,9 +444,41 @@ class TestResidency:
     def test_unbuilt_stages_report_unbuilt_without_forcing_them(self, tmp_path):
         dataset = Dataset.load(self._snapshot(tmp_path), mmap=True)
         assert dataset.residency()["graph"]["built"] == 0
-        dataset.graph  # force the replay
+        dataset.graph  # force the (column-backed) graph stage
         graph = dataset.residency()["graph"]
-        assert graph["built"] and graph["resident_bytes"] > 0
+        assert graph["built"] and graph["mapped_bytes"] > 0
+
+    def test_mmap_loaded_graph_reports_its_mapped_segment(self, tmp_path):
+        dataset = Dataset.load(self._snapshot(tmp_path), mmap=True)
+        n_triples = len(dataset.graph)
+        assert dataset.residency()["graph"] == {
+            "built": 1,
+            "mmap_segments": 1,
+            "mapped_bytes": 12 * n_triples,
+            "resident_bytes": 0,
+        }
+        # The first mutation builds the hash indexes and drops the mapped
+        # columns: the report falls back to the 12-bytes-per-triple bound.
+        dataset.mutate(add=[["http://ex/new", "http://ex/name", "http://ex/o"]])
+        assert dataset.residency()["graph"] == {
+            "built": 1,
+            "mmap_segments": 0,
+            "mapped_bytes": 0,
+            "resident_bytes": 12 * (n_triples + 1),
+        }
+
+    def test_heap_loaded_and_parsed_graphs_report_resident_columns(self, tmp_path):
+        for dataset in (
+            Dataset.load(self._snapshot(tmp_path), mmap=False),
+            Dataset.from_ntriples_text(NTRIPLES, name="resi"),
+        ):
+            n_triples = len(dataset.graph)
+            assert dataset.residency()["graph"] == {
+                "built": 1,
+                "mmap_segments": 0,
+                "mapped_bytes": 0,
+                "resident_bytes": 12 * n_triples,
+            }
 
     def test_mutation_makes_the_matrix_heap_resident(self, tmp_path):
         dataset = Dataset.load(self._snapshot(tmp_path), mmap=True)
