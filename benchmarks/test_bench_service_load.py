@@ -3,13 +3,13 @@
 Three phases, all against real HTTP sockets:
 
 * **Determinism** — one mixed batch (evaluate / refine / mutate churn)
-  through a 1-worker server and through an elastic 1→3-worker server;
+  through a 1-worker server and through a 3-worker pool server;
   the result payloads must be bit-identical (the ``cached`` flag aside,
   which is worker-placement-dependent by design).
 * **Load** — wrk-style closed-loop clients (threads, each firing its
   next request as soon as the previous response lands) drive mixed
-  evaluate/refine/mutate traffic at the threaded front-end backed by the
-  elastic pool; throughput and latency percentiles are recorded into
+  evaluate/refine/mutate traffic at the threaded front-end backed by a
+  3-worker pool; throughput and latency percentiles are recorded into
   ``BENCH_service_load.json`` via the ``bench_artifact`` fixture (and
   folded into the committed trajectory by ``scripts/collect_bench.py``).
 * **Saturation** — two admission slots over a deliberately slow
@@ -91,13 +91,13 @@ def _strip_cached(envelope):
 
 @pytest.mark.paper_artifact("service load story (not in the paper)")
 def test_bench_elastic_payloads_match_single_worker(benchmark):
-    """1 worker vs N elastic workers under churn: bit-identical payloads."""
+    """1 worker vs a 3-worker pool under churn: bit-identical payloads."""
     batch = _churn_batch()
-    with _serving(create_executor(workers=1, max_workers=1)) as single:
+    with _serving(create_executor(workers=1)) as single:
         _, single_payload, _ = _post(single.url, "/v1/batch", {"requests": batch})
 
     def elastic_run():
-        with _serving(create_executor(workers=1, max_workers=3)) as elastic:
+        with _serving(create_executor(workers=3)) as elastic:
             _, payload, _ = _post(elastic.url, "/v1/batch", {"requests": batch})
             return payload
 
@@ -112,7 +112,7 @@ def test_bench_elastic_payloads_match_single_worker(benchmark):
 
 @pytest.mark.paper_artifact("service load story (not in the paper)")
 def test_bench_closed_loop_mixed_traffic(benchmark, bench_artifact, capsys):
-    """Closed-loop clients over the elastic pool; record percentiles."""
+    """Closed-loop clients over a 3-worker pool; record percentiles."""
     clients = 4
     requests_per_client = 10
     latencies_by_kind = {"evaluate": [], "refine": [], "mutate": []}
@@ -150,7 +150,7 @@ def test_bench_closed_loop_mixed_traffic(benchmark, bench_artifact, capsys):
         with ThreadPoolExecutor(max_workers=clients) as pool:
             list(pool.map(client_loop, range(clients)))
 
-    with _serving(create_executor(workers=1, max_workers=3), pending_limit=64) as server:
+    with _serving(create_executor(workers=3), pending_limit=64) as server:
         started = time.perf_counter()
         benchmark.pedantic(run_load, rounds=1, iterations=1)
         wall = time.perf_counter() - started
@@ -182,8 +182,7 @@ def test_bench_closed_loop_mixed_traffic(benchmark, bench_artifact, capsys):
         "config": {
             "clients": clients,
             "requests_per_client": requests_per_client,
-            "min_workers": 1,
-            "max_workers": 3,
+            "workers": 3,
             "pending_limit": 64,
         },
         "throughput_rps": round(total / wall, 2) if wall > 0 else None,

@@ -6,8 +6,8 @@ it over HTTP the way a client would, and fails (non-zero exit) on any
 non-200 response or on payload drift against an in-process
 :class:`repro.service.InlineExecutor` answering the same requests.  The
 full drive runs against the inline server, and a second, shorter round
-checks an elastic ``--workers 1 --max-workers 2`` pool (admission section
-in ``/v1/stats``, elastic executor stats, batch determinism).  CI runs
+checks a ``--workers 2`` process pool (admission section in
+``/v1/stats``, elastic executor stats, batch determinism).  CI runs
 this as its service job; locally::
 
     PYTHONPATH=src python scripts/service_smoke.py
@@ -232,16 +232,17 @@ def run_drive(base, label) -> None:
 
 
 def run_elastic_round(base) -> None:
-    """The elastic-pool specifics: admission stats, elastic executor, batch."""
+    """The process-pool specifics: admission stats, elastic executor, batch."""
     from repro.service import InlineExecutor
 
+    batch = call(base, "/v1/batch", {"requests": REQUESTS})
     stats = call(base, "/v1/stats")
     admission = stats.get("admission")
     if not admission or "pending_limit" not in admission:
         raise SystemExit(f"[elastic] FAIL /v1/stats: no admission section: {stats}")
-    if stats.get("executor", {}).get("mode") != "elastic":
-        raise SystemExit(f"[elastic] FAIL /v1/stats: executor is not elastic: {stats}")
-    batch = call(base, "/v1/batch", {"requests": REQUESTS})
+    executor = stats.get("executor", {})
+    if executor.get("mode") != "elastic" or executor.get("workers") != 2:
+        raise SystemExit(f"[elastic] FAIL /v1/stats: executor is not a 2-worker pool: {stats}")
     reference = InlineExecutor().execute([dict(r) for r in REQUESTS])
     got = [{k: v for k, v in e.items() if k != "cached"} for e in batch["results"]]
     want = [{k: v for k, v in e.items() if k != "cached"} for e in reference]
@@ -270,7 +271,7 @@ def main() -> int:
     finally:
         _stop_server(server)
 
-    server, base = _spawn_server(env, "--workers", "1", "--max-workers", "2")
+    server, base = _spawn_server(env, "--workers", "2")
     try:
         run_elastic_round(base)
     finally:

@@ -27,6 +27,7 @@ from repro.api.results import DatasetInfo, MutationResult
 from repro.matrix.property_matrix import PropertyMatrix
 from repro.matrix.signatures import SignatureTable
 from repro.rdf.graph import RDFGraph
+from repro.rdf.interning import TermDictionary
 from repro.rdf.ntriples import load_ntriples, parse_ntriples
 from repro.telemetry import Telemetry, current as current_telemetry
 
@@ -52,6 +53,23 @@ def _mmap_backed(array: object) -> bool:
             return False
         array = array.base
     return False
+
+
+def _detached(graph: RDFGraph, name: str) -> RDFGraph:
+    """A column-backed copy of ``graph`` over a fresh dictionary of its own terms.
+
+    The graph's distinct term IDs are interned in ascending order, so the
+    ID remap is monotonic: the rows keep their order and stay distinct.
+    """
+    import numpy as np
+
+    ids = graph.triple_ids()
+    source = graph.term_dictionary
+    present = np.zeros(len(source), dtype=bool)
+    present[ids.ravel()] = True
+    dictionary = TermDictionary(source.decode_many(np.flatnonzero(present)))
+    remap = (np.cumsum(present, dtype=np.int64) - 1).astype(np.int32)
+    return RDFGraph.from_triple_ids(remap[ids], dictionary, name)
 
 
 def register_builtin_dataset(name: str, factory: Callable[..., object]) -> None:
@@ -275,9 +293,7 @@ class Dataset:
         :meth:`with_sort`): later mutations of ``graph`` do not leak in.
         """
         if sort:
-            snapshot = RDFGraph(
-                list(graph.sort_subgraph(sort)), name=name or graph.name
-            )
+            snapshot = _detached(graph.sort_subgraph(sort), name or graph.name)
             return cls(name=snapshot.name, graph=snapshot)
         return cls(name=name or graph.name, graph=graph)
 
@@ -635,7 +651,7 @@ class Dataset:
         """
         with self._lock:
             subgraph = self.graph.sort_subgraph(sort)
-        snapshot = RDFGraph(list(subgraph), name=name or f"{self._name} [{sort}]")
+        snapshot = _detached(subgraph, name or f"{self._name} [{sort}]")
         return Dataset(name=snapshot.name, graph=snapshot)
 
     def folded(self, max_signatures: int, name: str = "") -> "Dataset":

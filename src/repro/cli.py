@@ -41,10 +41,10 @@ pool of 4 worker processes::
 
     repro serve --port 8080 --workers 4
 
-Let the pool autoscale between 1 and 4 processes on queue depth, and
-answer 429 once 64 compute requests are pending::
+Serve over a pool of 2 worker processes and answer 429 once 64
+compute requests are pending::
 
-    repro serve --workers 1 --max-workers 4 --pending-limit 64
+    repro serve --workers 2 --pending-limit 64
 
 Watch structuredness live while replaying a JSONL mutation stream (see
 docs/observability.md)::
@@ -148,11 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1, help="worker processes (1 = inline)")
     serve.add_argument("--time-limit", type=float, default=None, help="per-ILP time limit in seconds")
     serve.add_argument("--verbose", action="store_true", help="log every HTTP request")
-    serve.add_argument(
-        "--max-workers", type=int, default=None,
-        help="pool ceiling: autoscale worker processes between --workers and "
-        "this on queue depth (default: a fixed pool of --workers processes)",
-    )
     serve.add_argument(
         "--pending-limit", type=int, default=64,
         help="admitted compute requests at once; the next one gets "
@@ -461,11 +456,6 @@ def _render_snapshot_info(info, verb: str) -> str:
 def _command_serve(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise SystemExit("serve: --workers must be >= 1")
-    if args.max_workers is not None and args.max_workers < args.workers:
-        raise SystemExit(
-            f"serve: --max-workers ({args.max_workers}) must be >= --workers "
-            f"({args.workers})"
-        )
     if args.pending_limit < 1:
         raise SystemExit("serve: --pending-limit must be >= 1")
     from repro.service import serve
@@ -476,7 +466,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         solver_time_limit=args.time_limit,
         verbose=args.verbose,
-        max_workers=args.max_workers,
         pending_limit=args.pending_limit,
     )
 

@@ -108,7 +108,6 @@ class SignatureTable:
         "_members",
         "_member_index",
         "_count_vec",
-        "_support_bits",
         "_support_bool",
         "name",
         "__weakref__",
@@ -144,8 +143,8 @@ class SignatureTable:
         self._signatures: Tuple[Signature, ...] = tuple(sig for sig, _ in ordered)
         self._counts: Dict[Signature, int] = dict(ordered)
 
-        # Columnar view: count vector + packed bitset rows over the property
-        # universe, aligned with self._signatures / self._properties.
+        # Columnar view: count vector + boolean support rows over the
+        # property universe, aligned with self._signatures / self._properties.
         self._count_vec: np.ndarray = np.fromiter(
             (count for _sig, count in ordered), dtype=np.int64, count=len(ordered)
         )
@@ -155,11 +154,6 @@ class SignatureTable:
             for p in sig:
                 support[i, property_index[p]] = True
         self._support_bool: np.ndarray = support
-        self._support_bits: np.ndarray = (
-            np.packbits(support, axis=1)
-            if support.size
-            else np.zeros((len(self._signatures), 0), dtype=np.uint8)
-        )
 
         self._members: Optional[Dict[Signature, Tuple[URI, ...]]] = None
         if members is not None:
@@ -399,7 +393,10 @@ class SignatureTable:
         Shape ``(n_signatures, ceil(n_properties / 8))``, dtype ``uint8``;
         bit ``j`` of a row (MSB-first within each byte) is property ``j``.
         """
-        return self._support_bits.copy()
+        support = self._support_bool
+        if not support.size:
+            return np.zeros((len(support), 0), dtype=np.uint8)
+        return np.packbits(support, axis=1)
 
     # ------------------------------------------------------------------ #
     # Incremental maintenance

@@ -13,9 +13,9 @@ you can put traffic on, in three layers:
   baseline), :class:`ElasticPoolExecutor` fans independent groups out
   over long-lived worker processes, each holding a
   :class:`~repro.service.registry.DatasetRegistry` so dataset chains are
-  built once per worker.  The pool has a fixed size (``--workers N``) or
-  autoscales on queue depth up to ``--max-workers``, booting from
-  snapshot-backed specs and draining gracefully when idle.
+  built once per worker.  The pool runs a fixed number of worker
+  processes (``--workers N``), booted on first use and drained
+  gracefully on close.
 * **HTTP front-end** (:mod:`repro.service.server`) — a stdlib threaded
   JSON API (``POST /v1/evaluate|refine|lowest_k|sweep|mutate|batch|watch``,
   ``GET /v1/datasets``, ``GET /v1/stats``, ``GET /v1/metrics``) exposed

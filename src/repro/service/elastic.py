@@ -1,32 +1,17 @@
-"""The multiprocessing worker pool: fixed-size or autoscaling on queue depth.
+"""The multiprocessing worker pool: a fixed number of worker processes.
 
-:class:`ElasticPoolExecutor` fans batch groups out over long-lived worker
-processes.  Each worker holds one
-:class:`~repro.service.executor.InlineExecutor` — and through it a
-:class:`~repro.service.registry.DatasetRegistry` plus a session cache —
-kept for the worker's lifetime.  A job is one batch *group* (requests
-sharing a dataset, rule and solver); the graph → matrix → signature-table
-chain for a dataset is therefore built at most once per worker, and jobs
-only ship scalar data across the process boundary: wire dicts out,
-result envelopes back.
+:class:`ElasticPoolExecutor` fans batch groups out over ``workers``
+long-lived worker processes (``repro serve --workers N``).  Each worker
+holds one :class:`~repro.service.executor.InlineExecutor` — and through
+it a :class:`~repro.service.registry.DatasetRegistry` plus a session
+cache — kept for the worker's lifetime.  A job is one batch *group*
+(requests sharing a dataset, rule and solver); the graph → matrix →
+signature-table chain for a dataset is therefore built at most once per
+worker, and jobs only ship scalar data across the process boundary: wire
+dicts out, result envelopes back.
 
-The worker count lies between ``min_workers`` and ``max_workers``; with
-the two equal (``repro serve --workers N``) the pool is a fixed-size
-pool.  Above the floor, a scaler thread watches the backlog of
-unfinished jobs and
-
-* **scales up** towards ``max_workers`` whenever jobs are queued faster
-  than the live workers drain them, and
-* **scales down** towards ``min_workers`` by sending a *drain* sentinel
-  once the pool has been idle for ``idle_timeout_s`` — a worker that
-  reads the sentinel finishes whatever job it is on, acknowledges, and
-  exits cleanly (exit code 0, never a terminate).
-
-Elasticity is practical because worker boot is nearly free when dataset
-specs are snapshot-backed: a fresh worker's registry reopens the
-persisted artifact chain via ``{"snapshot": path}`` specs in ~0.1 s
-instead of re-parsing and rebuilding, so spawning for a traffic burst and
-draining afterwards costs almost nothing.
+The pool has two lifecycle events: every worker boots on first use, and
+:meth:`~ElasticPoolExecutor.close` drains them all.
 
 Determinism: a group always runs in submission order inside one worker's
 session, exactly as :class:`InlineExecutor` runs it in-process, so pooled
@@ -39,8 +24,8 @@ so instead of broadcasting eagerly, every job ships the ``(seq, wire
 dict)`` history and a worker replays the entries it has not folded yet
 before touching the job (:func:`_apply_job`).  Dataset state in a worker
 is therefore always the fold of the same mutation sequence the inline
-executor applied, whichever — and however many — workers served it, and
-a worker booted mid-traffic converges before it takes work.
+executor applied, whichever worker served it, and a worker booted after
+a :meth:`~ElasticPoolExecutor.close` converges before it takes work.
 
 Deliberate trade-off: the full log ships with every job (the executor
 cannot know which entries a given worker still needs), making per-job
@@ -59,9 +44,9 @@ so only no-op mutations expose this).  Every other payload field stays
 bit-identical; exact parity here needs addressable workers (consistent
 group→worker routing), which one shared job queue cannot express.
 
-Scale events and dispatched jobs are counted in the executor's always-on
-:class:`~repro.telemetry.Telemetry` (``scale.up`` / ``scale.down`` /
-``scale.worker_boots`` / ``scale.worker_drains`` /
+Worker lifecycle and dispatched jobs are counted in the executor's
+always-on :class:`~repro.telemetry.Telemetry` (``scale.worker_boots`` /
+``scale.workers_ready`` / ``scale.worker_drains`` /
 ``pool.jobs_dispatched``), read by :meth:`ElasticPoolExecutor.stats` and
 served under ``executor`` by ``GET /v1/metrics``.
 
@@ -172,27 +157,15 @@ def _elastic_worker_main(
 
 
 class ElasticPoolExecutor(BatchExecutor):
-    """A worker pool that autoscales between ``min_workers`` and ``max_workers``.
+    """A pool of ``workers`` long-lived worker processes.
 
     Parameters
     ----------
-    min_workers:
-        The floor: the pool never drains below this many workers (booted
-        lazily on first use).
-    max_workers:
-        The ceiling the scaler may grow to under backlog; equal to
-        ``min_workers`` for a fixed-size pool (no scaler thread runs).
+    workers:
+        How many worker processes the pool runs (booted lazily on first
+        use, all at once).
     solver_time_limit:
         Forwarded to every worker's session construction.
-    start_method:
-        A :mod:`multiprocessing` start method or ``None`` for the
-        platform default (``fork`` boots fastest where available).
-    idle_timeout_s:
-        How long the pool must be completely idle before one surplus
-        worker is asked to drain (one per interval, so scale-down is
-        gradual).
-    scale_interval_s:
-        The scaler thread's decision cadence.
     drain_timeout:
         Seconds :meth:`close` waits for a graceful worker exit before
         escalating to ``terminate()``.
@@ -200,32 +173,17 @@ class ElasticPoolExecutor(BatchExecutor):
 
     def __init__(
         self,
-        min_workers: int = 1,
-        max_workers: int = 4,
+        workers: int = 2,
         solver_time_limit: Optional[float] = None,
-        start_method: Optional[str] = None,
-        idle_timeout_s: float = 2.0,
-        scale_interval_s: float = 0.02,
         drain_timeout: float = 10.0,
     ):
-        if min_workers < 1:
-            raise ValueError(f"min_workers must be >= 1, got {min_workers}")
-        if max_workers < min_workers:
-            raise ValueError(
-                f"max_workers must be >= min_workers, got {max_workers} < {min_workers}"
-            )
-        self.min_workers = min_workers
-        self.max_workers = max_workers
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
         self._solver_time_limit = solver_time_limit
-        self._idle_timeout_s = idle_timeout_s
-        self._scale_interval_s = scale_interval_s
         self._drain_timeout = drain_timeout
-        self._context = (
-            multiprocessing.get_context(start_method)
-            if start_method
-            else multiprocessing.get_context()
-        )
-        #: Always-on scale/lifecycle telemetry, served via ``/v1/metrics``.
+        self._context = multiprocessing.get_context()
+        #: Always-on lifecycle telemetry, served via ``/v1/metrics``.
         self.telemetry = Telemetry()
         # Guards every piece of mutable pool state below.
         self._lock = threading.Lock()
@@ -238,19 +196,13 @@ class ElasticPoolExecutor(BatchExecutor):
         self._mutation_log: List[Tuple[int, Dict[str, object]]] = []
         self._mutation_seq = 0
         self._started = False
-        self._closing = False
         self._inbound = None
         self._outbound = None
         self._workers: Dict[int, multiprocessing.Process] = {}
         self._worker_seq = 0
-        self._draining = 0
         self._futures: Dict[int, Future] = {}
         self._job_seq = 0
-        self._last_busy = time.monotonic()
-        self._peak_workers = 0
         self._collector: Optional[threading.Thread] = None
-        self._scaler: Optional[threading.Thread] = None
-        self._scaler_stop = threading.Event()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -260,20 +212,13 @@ class ElasticPoolExecutor(BatchExecutor):
             if self._started:
                 return
             self._started = True
-            self._closing = False
-            self._scaler_stop.clear()
             self._inbound = self._context.Queue()
             self._outbound = self._context.Queue()
             self._collector = threading.Thread(
                 target=self._collect, name="elastic-collector", daemon=True
             )
             self._collector.start()
-            if self.max_workers > self.min_workers:
-                self._scaler = threading.Thread(
-                    target=self._autoscale, name="elastic-scaler", daemon=True
-                )
-                self._scaler.start()
-            for _ in range(self.min_workers):
+            for _ in range(self.workers):
                 self._spawn_locked()
 
     def _spawn_locked(self) -> None:
@@ -288,7 +233,6 @@ class ElasticPoolExecutor(BatchExecutor):
         )
         process.start()
         self._workers[worker_id] = process
-        self._peak_workers = max(self._peak_workers, len(self._workers))
         self.telemetry.incr("scale.worker_boots")
 
     def _collect(self) -> None:
@@ -303,44 +247,18 @@ class ElasticPoolExecutor(BatchExecutor):
             if kind == "drained":
                 with self._lock:
                     process = self._workers.pop(key, None)
-                    self._draining = max(0, self._draining - 1)
                 if process is not None:
                     process.join(timeout=5)
                 self.telemetry.incr("scale.worker_drains")
                 continue
             with self._lock:
                 future = self._futures.pop(key, None)
-                self._last_busy = time.monotonic()
             if future is None:  # pragma: no cover - job raced with close()
                 continue
             if kind == "result":
                 future.set_result(value)
             else:
                 future.set_exception(RuntimeError(f"elastic worker failed: {value}"))
-
-    def _autoscale(self) -> None:
-        """The scaler loop: grow on backlog, drain one worker per idle window."""
-        while not self._scaler_stop.wait(self._scale_interval_s):
-            with self._lock:
-                if not self._started or self._closing:
-                    continue
-                backlog = len(self._futures)
-                effective = len(self._workers) - self._draining
-                if backlog > effective and effective < self.max_workers:
-                    spawn = min(backlog, self.max_workers) - effective
-                    for _ in range(spawn):
-                        self._spawn_locked()
-                    self.telemetry.incr("scale.up")
-                elif (
-                    backlog == 0
-                    and effective > self.min_workers
-                    and time.monotonic() - self._last_busy >= self._idle_timeout_s
-                ):
-                    # One drain per idle window: gradual, never below min.
-                    self._inbound.put(_DRAIN)
-                    self._draining += 1
-                    self._last_busy = time.monotonic()
-                    self.telemetry.incr("scale.down")
 
     # ------------------------------------------------------------------ #
     # Job submission
@@ -351,7 +269,6 @@ class ElasticPoolExecutor(BatchExecutor):
             self._job_seq += 1
             job_id = self._job_seq
             self._futures[job_id] = future
-            self._last_busy = time.monotonic()
         self.telemetry.incr("pool.jobs_dispatched")
         self._inbound.put((job_id, payload))
         return future
@@ -409,22 +326,16 @@ class ElasticPoolExecutor(BatchExecutor):
     # Introspection & shutdown
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """Pool topology, backlog and the scale-event counters."""
+        """Pool size, backlog and the dispatch counters."""
         counters = self.telemetry.counters()
         with self._lock:
             return {
                 "mode": "elastic",
-                "min_workers": self.min_workers,
-                "max_workers": self.max_workers,
                 "workers": len(self._workers),
-                "draining": self._draining,
-                "peak_workers": self._peak_workers,
                 "backlog": len(self._futures),
                 "start_method": self._context.get_start_method(),
                 "jobs_dispatched": counters.get("pool.jobs_dispatched", 0),
                 "mutations_logged": len(self._mutation_log),
-                "scale_up_events": counters.get("scale.up", 0),
-                "scale_down_events": counters.get("scale.down", 0),
             }
 
     def close(self) -> None:
@@ -438,11 +349,7 @@ class ElasticPoolExecutor(BatchExecutor):
         with self._lock:
             if not self._started:
                 return
-            self._closing = True
             workers = list(self._workers.values())
-        self._scaler_stop.set()
-        if self._scaler is not None:
-            self._scaler.join(timeout=5)
         for _ in workers:
             self._inbound.put(_DRAIN)
         deadline = time.monotonic() + self._drain_timeout
@@ -466,8 +373,6 @@ class ElasticPoolExecutor(BatchExecutor):
                     future.set_exception(RuntimeError("elastic pool closed"))
             self._futures.clear()
             self._workers.clear()
-            self._draining = 0
             self._inbound = self._outbound = None
-            self._collector = self._scaler = None
+            self._collector = None
             self._started = False
-            self._closing = False

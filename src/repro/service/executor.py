@@ -263,24 +263,17 @@ def create_executor(
     workers: int = 1,
     solver_time_limit: Optional[float] = None,
     registry: Optional[DatasetRegistry] = None,
-    start_method: Optional[str] = None,
-    max_workers: Optional[int] = None,
 ) -> BatchExecutor:
     """An executor sized to ``workers``: inline for 1, a process pool above.
 
     The pool is :class:`repro.service.elastic.ElasticPoolExecutor` with
-    ``workers`` as its floor and ``max_workers`` (default: ``workers``)
-    as its ceiling — a fixed-size pool unless ``max_workers`` is larger,
-    in which case worker processes autoscale on queue depth, boot from
-    snapshot-backed dataset specs and drain gracefully when idle.
+    ``workers`` worker processes.
 
     A shared ``registry`` only makes sense in-process; pool workers build
     their own, so passing one together with a pool is an error rather
     than a silent no-op.
     """
-    floor = max(workers, 1)
-    ceiling = max(floor, max_workers or floor)
-    if ceiling == 1:
+    if workers <= 1:
         return InlineExecutor(registry=registry, solver_time_limit=solver_time_limit)
     if registry is not None:
         raise ValueError(
@@ -289,9 +282,4 @@ def create_executor(
         )
     from repro.service.elastic import ElasticPoolExecutor
 
-    return ElasticPoolExecutor(
-        min_workers=floor,
-        max_workers=ceiling,
-        solver_time_limit=solver_time_limit,
-        start_method=start_method,
-    )
+    return ElasticPoolExecutor(workers=workers, solver_time_limit=solver_time_limit)

@@ -267,8 +267,8 @@ class StructurednessService:
             "process": current_telemetry().snapshot(),
         }
         # Executors with their own always-on telemetry (the elastic pool's
-        # scale.worker_boots / scale.up / ...) surface it here, so scale
-        # events are observable over plain GET /v1/metrics.
+        # scale.worker_boots / pool.jobs_dispatched / ...) surface it here,
+        # so worker lifecycle is observable over plain GET /v1/metrics.
         executor_telemetry = getattr(self.executor, "telemetry", None)
         if executor_telemetry is not None:
             payload["executor"] = executor_telemetry.snapshot()
@@ -632,21 +632,17 @@ def make_server(
     solver_time_limit: Optional[float] = None,
     executor: Optional[BatchExecutor] = None,
     verbose: bool = False,
-    max_workers: Optional[int] = None,
     pending_limit: int = 64,
 ) -> ServiceServer:
     """Bind a service server (``port=0`` picks an ephemeral free port).
 
-    ``workers``/``max_workers`` size the executor exactly as
+    ``workers`` sizes the executor exactly as
     :func:`repro.service.executor.create_executor` does (ignored when an
     ``executor`` is passed).  ``pending_limit`` bounds the admitted
     compute requests; the next one gets ``429``.
     """
     if executor is None:
-        executor = create_executor(
-            workers=workers, solver_time_limit=solver_time_limit,
-            max_workers=max_workers,
-        )
+        executor = create_executor(workers=workers, solver_time_limit=solver_time_limit)
     service = StructurednessService(executor=executor, pending_limit=pending_limit)
     return ServiceServer((host, port), service, verbose=verbose)
 
@@ -657,13 +653,12 @@ def serve(
     workers: int = 1,
     solver_time_limit: Optional[float] = None,
     verbose: bool = False,
-    max_workers: Optional[int] = None,
     pending_limit: int = 64,
 ) -> int:
     """Run the HTTP service until interrupted (the ``repro serve`` command)."""
     server = make_server(
         host, port, workers=workers, solver_time_limit=solver_time_limit, verbose=verbose,
-        max_workers=max_workers, pending_limit=pending_limit,
+        pending_limit=pending_limit,
     )
     print(f"repro service listening on {server.url}", flush=True)
     try:

@@ -61,6 +61,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import SnapshotError
+from repro.matrix.signatures import group_boolean_rows
 from repro.rdf.graph import distinct_triple_rows
 from repro.rdf.interning import NO_ID, TermDictionary
 from repro.rdf.namespaces import RDF
@@ -315,7 +316,7 @@ def _build(
             block = np.zeros((hi - lo, n_props), dtype=bool)
             if part_paths[j].stat().st_size:
                 arr = np.fromfile(part_paths[j], dtype=np.int32).reshape(-1, 3)
-                arr = np.unique(arr, axis=0)
+                arr = distinct_triple_rows(arr)
                 triples_out.write(arr.tobytes())
                 n_triples += len(arr)
                 cols = col_of[arr[:, 1]]
@@ -325,35 +326,23 @@ def _build(
                     matrix_mm[lo:hi] = block
             part_paths[j].unlink()
             block_subjects = subject_ids_sorted[lo:hi]
-            if n_props:
-                packed = np.packbits(block, axis=1)
-                groups, inverse = np.unique(packed, axis=0, return_inverse=True)
-                inverse = inverse.ravel()
-                member_order = np.argsort(inverse, kind="stable")
-                group_sizes = np.bincount(inverse, minlength=len(groups))
-                start = 0
-                for g in range(len(groups)):
-                    stop = start + int(group_sizes[g])
-                    entry = sig_acc.setdefault(groups[g].tobytes(), [0, []])
-                    entry[0] += int(group_sizes[g])
-                    entry[1].append(block_subjects[member_order[start:stop]])
-                    start = stop
-            else:
-                entry = sig_acc.setdefault(b"", [0, []])
-                entry[0] += hi - lo
-                entry[1].append(block_subjects)
+            representatives, inverse, group_sizes = group_boolean_rows(block)
+            keys = np.packbits(block[representatives], axis=1)
+            member_order = np.argsort(inverse, kind="stable")
+            start = 0
+            for g in range(len(group_sizes)):
+                stop = start + int(group_sizes[g])
+                entry = sig_acc.setdefault(keys[g].tobytes(), [0, []])
+                entry[0] += int(group_sizes[g])
+                entry[1].append(block_subjects[member_order[start:stop]])
+                start = stop
 
     # ---------------- Final assembly: table, labels, graph, terms -------- #
     with telemetry.span("outofcore.assemble"):
         property_strings = [str(t) for t, _i in prop_by_uri]
-        ordered_sigs: List[Tuple[int, Tuple[str, ...], np.ndarray, bytes]] = []
+        ordered_sigs: List[Tuple[int, Tuple[str, ...], np.ndarray, np.ndarray]] = []
         for key, (count, member_chunks) in sig_acc.items():
-            if n_props:
-                support_row = np.unpackbits(np.frombuffer(key, dtype=np.uint8))[
-                    :n_props
-                ].astype(bool)
-            else:
-                support_row = np.zeros(0, dtype=bool)
+            support_row = np.unpackbits(np.frombuffer(key, dtype=np.uint8))[:n_props]
             on = np.flatnonzero(support_row)
             sig_key = tuple(sorted(property_strings[j] for j in on))
             members = (
@@ -361,16 +350,13 @@ def _build(
                 if member_chunks
                 else np.empty(0, dtype=np.int32)
             )
-            ordered_sigs.append((count, sig_key, members, key))
+            ordered_sigs.append((count, sig_key, members, support_row))
         # The SignatureTable order: largest sets first, ties by property names.
         ordered_sigs.sort(key=lambda e: (-e[0], e[1]))
         n_sigs = len(ordered_sigs)
         support = np.zeros((n_sigs, n_props), dtype=bool)
-        for i, (_count, _key, _members, packed_key) in enumerate(ordered_sigs):
-            if n_props:
-                support[i] = np.unpackbits(np.frombuffer(packed_key, dtype=np.uint8))[
-                    :n_props
-                ].astype(bool)
+        for i, (_count, _key, _members, support_row) in enumerate(ordered_sigs):
+            support[i] = support_row
         writer.add_array("table_support", support)
         writer.add_array(
             "table_counts",

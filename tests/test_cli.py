@@ -209,24 +209,25 @@ class TestServeCommand:
         return calls
 
     @pytest.mark.parametrize(
-        "argv,workers,max_workers",
+        "argv,workers",
         [
-            ([], 1, None),  # inline
-            (["--workers", "3"], 3, None),  # a fixed pool of three
-            (["--workers", "1", "--max-workers", "4"], 1, 4),  # autoscaling
+            ([], 1),  # inline
+            (["--workers", "3"], 3),  # a fixed pool of three
         ],
     )
-    def test_sizing_flags_reach_serve(self, served, argv, workers, max_workers):
+    def test_sizing_flags_reach_serve(self, served, argv, workers):
         assert main(["serve", "--port", "0", *argv]) == 0
         [call] = served
-        assert (call["workers"], call["max_workers"]) == (workers, max_workers)
+        assert call["workers"] == workers and "max_workers" not in call
         assert call["port"] == 0 and call["pending_limit"] == 64
 
     def test_pending_limit_reaches_serve(self, served):
         assert main(["serve", "--pending-limit", "9"]) == 0
         assert served[0]["pending_limit"] == 9
 
-    @pytest.mark.parametrize("flag", [["--async"], ["--min-workers", "2"]])
+    @pytest.mark.parametrize(
+        "flag", [["--async"], ["--min-workers", "2"], ["--max-workers", "2"]]
+    )
     def test_removed_flags_are_rejected(self, served, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", *flag])
@@ -238,7 +239,6 @@ class TestServeCommand:
         "argv,fragment",
         [
             (["--workers", "0"], "--workers must be >= 1"),
-            (["--workers", "3", "--max-workers", "2"], "--max-workers (2) must be >= --workers (3)"),
             (["--pending-limit", "0"], "--pending-limit must be >= 1"),
         ],
     )

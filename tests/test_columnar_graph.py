@@ -160,6 +160,31 @@ def test_sort_subgraph_filters_the_columns(source, row_order):
     assert columnar._columns is not None
 
 
+@pytest.mark.parametrize("parent_form", ["columnar", "indexed"])
+def test_with_sort_detaches_the_subgraph_onto_its_own_terms(source, parent_form):
+    parent = Dataset.from_ntriples(source)
+    if parent_form == "indexed":
+        parent.graph._index()
+    for sort in _sorts_to_try(_indexed(source)):
+        # The triple-by-triple copy the detached graph replaces.
+        reference = RDFGraph(list(parent.graph.sort_subgraph(sort)))
+        for handle in (parent.with_sort(sort), Dataset.from_graph(parent.graph, sort=sort)):
+            graph = handle.graph
+            assert graph._columns is not None
+            assert graph.term_dictionary is not parent.graph.term_dictionary
+            assert len(graph.term_dictionary) == len(reference.term_dictionary)
+            assert set(graph.term_dictionary) == set(reference.term_dictionary)
+            assert _decoded(graph) == set(reference) and len(graph) == len(reference)
+            if parent_form == "columnar":
+                ids = graph.triple_ids()
+                order = np.lexsort((ids[:, 2], ids[:, 1], ids[:, 0]))
+                np.testing.assert_array_equal(order, np.arange(len(ids)))
+            if len(reference):
+                assert handle.table == Dataset.from_ntriples(source, sort=sort).table
+    # Detaching reads the parent's columns without indexing them.
+    assert (parent.graph._columns is not None) == (parent_form == "columnar")
+
+
 def test_pattern_iteration_and_set_operations_match_after_the_index_build(source):
     columnar, indexed = load_ntriples(source), _indexed(source)
     assert set(columnar) == set(indexed)  # iteration builds the indexes

@@ -1,21 +1,21 @@
-"""Tests for the elastic autoscaling worker pool.
+"""Tests for the fixed-size worker pool (``ElasticPoolExecutor``).
 
 The invariants under test: payloads stay bit-identical to the inline
-baseline through any amount of scaling (mutation-log replay makes a
-worker booted mid-traffic converge before it takes work); the pool
-scales up under backlog and drains back to the floor when idle; close()
-is graceful (in-flight work completes) and the executor is reusable.
+baseline (mutation-log replay makes a worker booted after a close()
+converge before it takes work); the pool runs exactly ``workers``
+processes; close() is graceful (in-flight work completes) and the
+executor is reusable.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
@@ -56,31 +56,26 @@ def _wait_for(predicate, timeout=20.0, interval=0.05):
 
 class TestBounds:
     def test_rejects_bad_worker_bounds(self):
-        with pytest.raises(ValueError, match="min_workers"):
-            ElasticPoolExecutor(min_workers=0, max_workers=2)
-        with pytest.raises(ValueError, match="max_workers"):
-            ElasticPoolExecutor(min_workers=3, max_workers=2)
+        with pytest.raises(ValueError, match="workers"):
+            ElasticPoolExecutor(workers=0)
 
-    def test_create_executor_dispatches_on_max_workers(self):
-        elastic = create_executor(workers=1, max_workers=3)
+    def test_create_executor_sizes_the_pool_by_workers(self):
+        pool = create_executor(workers=2)
         try:
-            assert isinstance(elastic, ElasticPoolExecutor)
-            assert elastic.min_workers == 1 and elastic.max_workers == 3
+            assert isinstance(pool, ElasticPoolExecutor)
+            assert pool.workers == 2
+            assert pool.execute([_ev()])[0]["ok"]
+            assert pool.stats()["workers"] == 2
+            assert "elastic-scaler" not in {t.name for t in threading.enumerate()}
         finally:
-            elastic.close()
-        fixed = create_executor(workers=2, max_workers=2)
-        try:
-            assert isinstance(fixed, ElasticPoolExecutor)
-            assert fixed.min_workers == fixed.max_workers == 2
-        finally:
-            fixed.close()
+            pool.close()
         assert isinstance(create_executor(workers=1), InlineExecutor)
 
     def test_create_executor_rejects_registry_with_elastic(self):
         from repro.service.registry import DatasetRegistry
 
         with pytest.raises(ValueError, match="registry"):
-            create_executor(workers=1, max_workers=2, registry=DatasetRegistry())
+            create_executor(workers=2, registry=DatasetRegistry())
 
 
 class TestDeterminism:
@@ -91,99 +86,45 @@ class TestDeterminism:
         ]
         inline = InlineExecutor()
         baseline = inline.execute([dict(r) for r in batch])
-        elastic = ElasticPoolExecutor(min_workers=1, max_workers=3)
+        pool = ElasticPoolExecutor(workers=3)
         try:
-            scaled = elastic.execute([dict(r) for r in batch])
+            pooled = pool.execute([dict(r) for r in batch])
             assert [_strip_cached(e) for e in baseline] == [
-                _strip_cached(e) for e in scaled
+                _strip_cached(e) for e in pooled
             ]
-            assert elastic.stats()["mutations_logged"] == 3
+            assert pool.stats()["mutations_logged"] == 3
         finally:
-            elastic.close()
+            pool.close()
             inline.close()
 
-    def test_worker_booted_mid_traffic_replays_the_mutation_log(self):
+    def test_worker_booted_after_close_replays_the_mutation_log(self):
         inline = InlineExecutor()
-        elastic = ElasticPoolExecutor(
-            min_workers=1, max_workers=3, idle_timeout_s=30.0
-        )
+        pool = ElasticPoolExecutor(workers=1)
         try:
-            # Mutate while a single worker holds the dataset...
-            elastic.execute([_ev(), _mut(1), _mut(2)])
+            pool.execute([_ev(), _mut(1), _mut(2)])
             inline.execute([_ev(), _mut(1), _mut(2)])
-            # ... then force boots: a wide batch of distinct datasets makes
-            # the backlog exceed the single worker.  The worker may drain a
-            # batch before the scaler's tick sees it, so fresh batches go in
-            # until a boot happens (each round's datasets are new, so none is
-            # answered from the worker's cache).
-            rounds = itertools.count()
-
-            def boot_by_backlog() -> bool:
-                first = 5 * next(rounds)
-                wide = [
-                    _ev(dataset={"builtin": "dbpedia-persons",
-                                 "params": {"n_subjects": 300, "seed": seed}})
-                    for seed in range(first, first + 5)
-                ]
-                assert all(e["ok"] for e in elastic.execute(wide))
-                return elastic.stats()["peak_workers"] > 1
-
-            assert _wait_for(boot_by_backlog, interval=0)
-            # Whichever (possibly fresh) worker serves this, the answer is
-            # the inline one: the log replay converged its registry.
-            scaled = elastic.execute([_ev(), _ev("Sim")])
+            pool.close()
+            # The next job boots a fresh worker with an empty registry: it
+            # must replay both logged mutations before answering.
+            fresh = pool.execute([_ev(), _ev("Sim")])
             baseline = inline.execute([_ev(), _ev("Sim")])
             assert [_strip_cached(e) for e in baseline] == [
-                _strip_cached(e) for e in scaled
+                _strip_cached(e) for e in fresh
             ]
+            unmutated = InlineExecutor().execute([_ev(), _ev("Sim")])
+            assert [_strip_cached(e) for e in unmutated] != [
+                _strip_cached(e) for e in fresh
+            ]
+            assert pool.telemetry.counters()["scale.worker_boots"] == 2
+            assert pool.stats()["mutations_logged"] == 2
         finally:
-            elastic.close()
+            pool.close()
             inline.close()
-
-
-class TestScaling:
-    def test_scales_up_under_backlog_and_drains_back_to_floor(self):
-        elastic = ElasticPoolExecutor(
-            min_workers=1, max_workers=3, idle_timeout_s=0.3, scale_interval_s=0.02
-        )
-        try:
-            wide = [
-                _ev(dataset={"builtin": "dbpedia-persons",
-                             "params": {"n_subjects": 400, "seed": seed}})
-                for seed in range(6)
-            ]
-            assert all(e["ok"] for e in elastic.execute(wide))
-            stats = elastic.stats()
-            assert stats["peak_workers"] > 1
-            assert stats["scale_up_events"] >= 1
-            # Idle workers drain gracefully back to the floor...
-            assert _wait_for(lambda: elastic.stats()["workers"] == 1)
-            stats = elastic.stats()
-            assert stats["scale_down_events"] >= 1
-            assert stats["workers"] == elastic.min_workers
-            # ... and the drained pool still serves (no dead-queue state).
-            assert elastic.execute([_ev()])[0]["ok"]
-            counters = elastic.telemetry.snapshot()["counters"]
-            assert counters["scale.worker_boots"] >= 2
-            assert counters.get("scale.worker_drains", 0) >= 1
-        finally:
-            elastic.close()
-
-    def test_never_drains_below_the_floor(self):
-        elastic = ElasticPoolExecutor(
-            min_workers=2, max_workers=3, idle_timeout_s=0.1, scale_interval_s=0.02
-        )
-        try:
-            assert all(e["ok"] for e in elastic.execute([_ev(), _ev("Sim")]))
-            time.sleep(1.0)  # several idle windows pass
-            assert elastic.stats()["workers"] == 2
-        finally:
-            elastic.close()
 
 
 class TestLifecycle:
     def test_close_is_graceful_and_the_executor_is_reusable(self):
-        elastic = ElasticPoolExecutor(min_workers=1, max_workers=2)
+        elastic = ElasticPoolExecutor(workers=1)
         try:
             assert elastic.execute([_ev()])[0]["ok"]
             elastic.close()
@@ -203,7 +144,7 @@ class TestLifecycle:
             elastic.close()
 
     def test_worker_failure_fails_the_job_without_killing_the_pool(self):
-        elastic = ElasticPoolExecutor(min_workers=1, max_workers=2)
+        elastic = ElasticPoolExecutor(workers=1)
         try:
             [envelope] = elastic.execute([
                 {"op": "evaluate", "dataset": {"builtin": "nope"},
@@ -220,7 +161,7 @@ class TestLifecycle:
         script = textwrap.dedent(f"""
             import os
             from repro.service import ElasticPoolExecutor
-            pool = ElasticPoolExecutor(min_workers=2, max_workers=2)
+            pool = ElasticPoolExecutor(workers=2)
             assert pool.execute([{_ev()!r}])[0]["ok"]
             print(" ".join(str(p.pid) for p in pool._workers.values()), flush=True)
             os._exit(0)  # no close(), no atexit hooks

@@ -245,7 +245,7 @@ class TestPooledExecutor:
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
-            ElasticPoolExecutor(min_workers=0, max_workers=0)
+            ElasticPoolExecutor(workers=0)
 
 
 NT_MUTABLE = NT  # the tiny graph above doubles as the mutation target
@@ -428,7 +428,7 @@ class TestCreateExecutor:
         pooled = create_executor(workers=3)
         try:
             assert isinstance(pooled, ElasticPoolExecutor)
-            assert pooled.min_workers == pooled.max_workers == 3
+            assert pooled.workers == 3
         finally:
             pooled.close()
 

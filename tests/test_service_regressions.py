@@ -370,7 +370,7 @@ class TestPoolShutdown:
     """
 
     def test_graceful_close_counts_no_forced_terminations(self):
-        executor = ElasticPoolExecutor(min_workers=1, max_workers=1, drain_timeout=5.0)
+        executor = ElasticPoolExecutor(workers=1, drain_timeout=5.0)
         assert executor.execute([_evaluate({"ntriples": NT, "name": "graceful"})])[0]["ok"]
         executor.close()
         counters = executor.telemetry.snapshot()["counters"]
@@ -393,7 +393,7 @@ class TestPoolShutdown:
 
         monkeypatch.setattr(os, "waitstatus_to_exitcode", slow_exit_code_of)
         for round_ in range(5):
-            executor = ElasticPoolExecutor(min_workers=1, max_workers=1, drain_timeout=5.0)
+            executor = ElasticPoolExecutor(workers=1, drain_timeout=5.0)
             name = f"reaped-{round_}"
             assert executor.execute([_evaluate({"ntriples": NT, "name": name})])[0]["ok"]
             executor.close()
@@ -404,7 +404,7 @@ class TestPoolShutdown:
     def test_worker_stuck_past_drain_timeout_is_terminated(self, tmp_path):
         fifo = tmp_path / "never-written.nt"
         os.mkfifo(fifo)
-        executor = ElasticPoolExecutor(min_workers=1, max_workers=1, drain_timeout=0.5)
+        executor = ElasticPoolExecutor(workers=1, drain_timeout=0.5)
         outcome = []
 
         def run():
@@ -431,7 +431,7 @@ class TestPoolShutdown:
     def test_in_flight_job_drains_before_close_returns(self, tmp_path):
         fifo = tmp_path / "slow.nt"
         os.mkfifo(fifo)
-        executor = ElasticPoolExecutor(min_workers=1, max_workers=1, drain_timeout=30.0)
+        executor = ElasticPoolExecutor(workers=1, drain_timeout=30.0)
         results = []
         caller = threading.Thread(
             target=lambda: results.append(
