@@ -402,10 +402,13 @@ class Dataset:
         over memory-mapped snapshot segments), ``mapped_bytes`` (their
         payload size — paged in on demand, evictable by the OS) and
         ``resident_bytes`` (payload of the arrays that are ordinary heap
-        memory).  After :meth:`load` the matrix's cell array stays mapped
-        while the signature table is rebuilt fully resident, and a
-        mutation patches the matrix into a fresh heap array — the report
-        reflects both truthfully.  A column-backed graph is accounted by
+        memory).  After :meth:`load` the matrix's cell array and the
+        table's support, count and member columns stay mapped, and a
+        mutation patches both stages into fresh heap arrays — the report
+        reflects both truthfully.  The table's arrays are its support
+        matrix, count vector, member column and (once a patch or
+        ``signature_of`` has built it) its row → signature array.  A
+        column-backed graph is accounted by
         its ID-triple array like the other stages (mapped when it is a
         view of the snapshot segment); once it has built its hash indexes
         (Python dicts, no array backing) its ``resident_bytes`` is the
@@ -453,7 +456,17 @@ class Dataset:
             if self._table is not None:
                 # The table's backing arrays, not the copying accessors —
                 # residency must inspect the arrays the stage actually holds.
-                account("table", [self._table._count_vec, self._table._support_bool])
+                table = self._table
+                account("table", [
+                    array
+                    for array in (
+                        table._count_vec,
+                        table._support_bool,
+                        table._member_ids,
+                        table._row_signature,
+                    )
+                    if array is not None
+                ])
             else:
                 report["table"] = dict(unbuilt)
             return report
@@ -592,7 +605,8 @@ class Dataset:
             graph = self.graph  # DatasetError for matrix/table-born datasets
             # validated() fully coerced every term up front, so applying
             # the delta cannot fail half-way and the mutation is atomic.
-            delta = graph.remove_triples(req.remove).merge(graph.add_triples(req.add))
+            with telemetry.span("dataset.graph_delta"):
+                delta = graph.remove_triples(req.remove).merge(graph.add_triples(req.add))
             if not delta.is_empty:
                 self._generation += 1
                 self.telemetry.incr("mutations")

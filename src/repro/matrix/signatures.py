@@ -17,15 +17,20 @@ In this library a signature is simply a ``frozenset`` of property URIs (its
 support), and :class:`SignatureTable` maps each signature to its size and,
 optionally, to the concrete member subjects.
 
-Internally the table is columnar: alongside the frozenset view it keeps the
-signature supports as **packed bitset rows** (``np.packbits`` of the
-``n_signatures × n_properties`` boolean support matrix) and the signature-
-set sizes as an ``int64`` count vector.  Every aggregate the closed-form
-structuredness functions need (``n_ones``, per-property counts, pairwise
-both/either counts) is a vectorised reduction over those arrays, and
-:meth:`from_matrix` groups matrix rows into signatures with one
-``np.unique`` pass over the packed rows instead of hashing a frozenset per
-subject.  See DESIGN.md, "Interned-ID architecture".
+Internally the table is columnar: the ``n_signatures × n_properties``
+boolean support matrix, the signature-set sizes as an ``int64`` count
+vector and, when members are tracked, one ``int32`` member column —
+positions into a shared subject-label sequence (a property matrix's row
+labels, or a snapshot's term list), grouped by signature in table order,
+so the offsets are the cumulative counts.  The frozenset view, the
+signature -> size mapping and the member tuples are derived from those
+columns on first use.  Every aggregate the closed-form structuredness
+functions need (``n_ones``, per-property counts, pairwise both/either
+counts) is a vectorised reduction over the arrays, :meth:`from_matrix`
+groups matrix rows into signatures with one ``np.unique`` pass over packed
+rows instead of hashing a frozenset per subject, and
+:meth:`SignatureTable.apply_delta` moves only the touched subjects' positions.
+See DESIGN.md, "Interned-ID architecture".
 """
 
 from __future__ import annotations
@@ -80,6 +85,26 @@ def group_boolean_rows(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.nda
     return representatives, inverse, counts
 
 
+def _table_order(counts: Sequence[int], keys: Sequence[Tuple[str, ...]]) -> List[int]:
+    """Group indices in table order: largest set first, ties by property names."""
+    return sorted(range(len(keys)), key=lambda g: (-counts[g], keys[g]))
+
+
+def _support_rows(properties: Sequence[URI], signatures: Sequence[Signature]) -> np.ndarray:
+    """The boolean support matrix of ``signatures`` over ``properties``."""
+    column_of = {p: j for j, p in enumerate(properties)}
+    support = np.zeros((len(signatures), len(properties)), dtype=bool)
+    for i, signature in enumerate(signatures):
+        for p in signature:
+            support[i, column_of[p]] = True
+    return support
+
+
+def _blocks(members: np.ndarray, counts: np.ndarray) -> List[np.ndarray]:
+    """Split a member column into its per-signature blocks."""
+    return np.split(members, np.cumsum(counts)[:-1]) if len(counts) else []
+
+
 class SignatureTable:
     """The signature view of an RDF graph: signature -> size (+ optional members).
 
@@ -99,16 +124,28 @@ class SignatureTable:
         concrete entities and triples.
     name:
         Optional human-readable dataset name.
+
+    Storage is columnar whichever way a table is made: the support matrix,
+    the count vector and, when members are tracked, one integer *member
+    column* of positions into a shared subject-label sequence, grouped by
+    signature in table order (a signature's block is the slice between the
+    cumulative counts).  The frozenset views (:attr:`signatures`,
+    :meth:`counts`, :meth:`members_of`, :meth:`signature_of`) are derived
+    on first use.
     """
 
     __slots__ = (
         "_properties",
-        "_signatures",
-        "_counts",
-        "_members",
-        "_member_index",
-        "_count_vec",
         "_support_bool",
+        "_count_vec",
+        "_member_ids",
+        "_subjects",
+        "_subject_index",
+        "_row_signature",
+        "_matrix_rows",
+        "_signatures",
+        "_signature_index",
+        "_keys",
         "name",
         "__weakref__",
     )
@@ -120,10 +157,10 @@ class SignatureTable:
         members: Optional[Mapping[Signature, Sequence[URI]]] = None,
         name: str = "",
     ):
-        self._properties: Tuple[URI, ...] = tuple(coerce_uri(p) for p in properties)
-        if len(set(self._properties)) != len(self._properties):
+        properties = tuple(coerce_uri(p) for p in properties)
+        if len(set(properties)) != len(properties):
             raise RDFError("duplicate properties in signature table")
-        property_set = set(self._properties)
+        property_set = set(properties)
 
         normalised: Dict[Signature, int] = {}
         for signature, count in counts.items():
@@ -137,35 +174,18 @@ class SignatureTable:
                 continue
             normalised[sig] = normalised.get(sig, 0) + int(count)
 
-        # Deterministic order: largest signature sets first (as in the
-        # paper's figures), ties broken by the property names.
-        ordered = sorted(normalised.items(), key=lambda item: (-item[1], signature_key(item[0])))
-        self._signatures: Tuple[Signature, ...] = tuple(sig for sig, _ in ordered)
-        self._counts: Dict[Signature, int] = dict(ordered)
-
-        # Columnar view: count vector + boolean support rows over the
-        # property universe, aligned with self._signatures / self._properties.
-        self._count_vec: np.ndarray = np.fromiter(
-            (count for _sig, count in ordered), dtype=np.int64, count=len(ordered)
-        )
-        property_index = {p: j for j, p in enumerate(self._properties)}
-        support = np.zeros((len(self._signatures), len(self._properties)), dtype=bool)
-        for i, sig in enumerate(self._signatures):
-            for p in sig:
-                support[i, property_index[p]] = True
-        self._support_bool: np.ndarray = support
-
-        self._members: Optional[Dict[Signature, Tuple[URI, ...]]] = None
+        signatures = tuple(normalised)
+        member_ids = subjects = None
         if members is not None:
             collected: Dict[Signature, Tuple[URI, ...]] = {}
             for signature, subject_list in members.items():
                 sig = frozenset(coerce_uri(p) for p in signature)
-                if sig not in self._counts:
+                if sig not in normalised:
                     if not subject_list:
                         continue
                     raise RDFError(f"members given for unknown signature {signature_key(sig)}")
                 collected[sig] = tuple(coerce_uri(s) for s in subject_list)
-            for sig, count in self._counts.items():
+            for sig, count in normalised.items():
                 if sig not in collected:
                     raise RDFError("members mapping must cover every signature")
                 if len(collected[sig]) != count:
@@ -173,12 +193,89 @@ class SignatureTable:
                         f"signature {signature_key(sig)} has count {count} but "
                         f"{len(collected[sig])} members"
                     )
-            self._members = collected
-        # Lazily built subject -> signature reverse index (requires
-        # members); apply_delta carries an updated copy forward so chained
-        # mutations never pay the O(n_subjects) rebuild.
-        self._member_index: Optional[Dict[URI, Signature]] = None
+            # The labels are the members themselves, so the member column
+            # starts out as 0..n-1.
+            subjects = tuple(s for sig in signatures for s in collected[sig])
+            member_ids = np.arange(len(subjects), dtype=np.int32)
+        self._adopt(
+            properties,
+            _support_rows(properties, signatures),
+            np.array([normalised[sig] for sig in signatures], dtype=np.int64),
+            member_ids,
+            subjects,
+            name,
+            signatures=signatures,
+            in_order=False,
+        )
+
+    def _adopt(
+        self,
+        properties: Tuple[URI, ...],
+        support: np.ndarray,
+        counts: np.ndarray,
+        member_ids: Optional[np.ndarray],
+        subjects: Optional[Sequence[URI]],
+        name: str,
+        *,
+        signatures: Optional[Tuple[Signature, ...]] = None,
+        keys: Optional[List[Tuple[str, ...]]] = None,
+        subject_index: Optional[Mapping[URI, int]] = None,
+        row_signature: Optional[np.ndarray] = None,
+        matrix_rows: bool = False,
+        in_order: bool = True,
+    ) -> None:
+        """The trusting constructor every producer ends in.
+
+        ``support`` (bool, signatures × properties) and ``counts`` (int64)
+        describe distinct signatures, and ``member_ids`` (or ``None``)
+        holds each signature's member positions into ``subjects``, block
+        after block.  Nothing is copied or checked.  The signatures are
+        non-empty and in table order — largest set first, ties by property
+        names — unless ``in_order`` is false, in which case ``signatures``
+        must be given: empty ones are dropped and the rows, member blocks
+        and ``row_signature`` values are permuted into table order first.
+        ``matrix_rows`` marks a column
+        whose positions are the rows of a property matrix with
+        ``subjects`` as its row labels, ascending within each block:
+        :meth:`apply_delta` patches such a column in place of re-deriving
+        it.  The other keyword arguments hand over views the producer
+        already has.
+        """
+        if not in_order:
+            if keys is None:
+                keys = [signature_key(sig) for sig in signatures]
+            sizes = counts.tolist()
+            order = [g for g in _table_order(sizes, keys) if sizes[g]]
+            if order != list(range(len(sizes))):
+                if member_ids is not None:
+                    blocks = _blocks(member_ids, counts)
+                    member_ids = np.concatenate([blocks[g] for g in order] or [member_ids[:0]])
+                if row_signature is not None:
+                    remap = np.full(len(sizes) + 1, -1, dtype=np.int32)
+                    remap[order] = np.arange(len(order), dtype=np.int32)
+                    row_signature = remap[row_signature]
+                support, counts = support[order], counts[order]
+                signatures = tuple(signatures[g] for g in order)
+                keys = [keys[g] for g in order]
+        self._properties = properties
+        self._support_bool = support
+        self._count_vec = counts
+        self._member_ids = member_ids
+        self._subjects = subjects
+        self._subject_index = subject_index
+        self._row_signature = row_signature
+        self._matrix_rows = matrix_rows
+        self._signatures = signatures
+        self._signature_index: Optional[Dict[Signature, int]] = None
+        self._keys = keys
         self.name = name
+
+    @classmethod
+    def _from_columns(cls, *args, **kwargs) -> "SignatureTable":
+        """A table over already-ordered columns (see :meth:`_adopt`)."""
+        table = object.__new__(cls)
+        table._adopt(*args, **kwargs)
+        return table
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -191,35 +288,38 @@ class SignatureTable:
         (``np.packbits``) and deduplicated with ``np.unique``, so the cost
         per *subject* is a few bytes of packed row, not a frozenset hash.
         Only the (few) distinct signatures are materialised as frozensets.
+        The member column is one stable argsort of the rows by their
+        signature's rank in table order: row positions into
+        ``matrix.subjects``, which the table shares rather than copies.
         """
         data = matrix.data
         properties = matrix.properties
-        subjects = matrix.subjects
-        if len(subjects) == 0:
-            return cls(properties, {}, members={}, name=name if name is not None else matrix.name)
+        name = name if name is not None else matrix.name
         # One representative row per group gives the support of its signature.
         representatives, inverse, group_counts = group_boolean_rows(data)
-        n_groups = len(group_counts)
+        support = data[representatives]
         signatures = [
-            frozenset(p for j, p in enumerate(properties) if data[representatives[g], j])
-            for g in range(n_groups)
+            frozenset(properties[j] for j in np.flatnonzero(row)) for row in support
         ]
-        counts: Dict[Signature, int] = {
-            signatures[g]: int(group_counts[g]) for g in range(n_groups)
-        }
-        # Stable argsort by group recovers each group's members in row order.
-        order = np.argsort(inverse, kind="stable")
-        boundaries = np.cumsum(group_counts)
-        members: Dict[Signature, Tuple[URI, ...]] = {}
-        start = 0
-        for g, stop in enumerate(boundaries):
-            members[signatures[g]] = tuple(subjects[i] for i in order[start:stop])
-            start = stop
-        return cls(
+        keys = [signature_key(sig) for sig in signatures]
+        order = _table_order(group_counts.tolist(), keys)
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order), dtype=np.int32)
+        row_signature = rank[inverse]
+        # Stable argsort by table rank lists each signature's rows in order.
+        member_ids = np.argsort(row_signature, kind="stable").astype(np.int32)
+        return cls._from_columns(
             properties,
-            counts,
-            members=members,
-            name=name if name is not None else matrix.name,
+            support[order],
+            group_counts[order].astype(np.int64, copy=False),
+            member_ids,
+            matrix.subjects,
+            name,
+            signatures=tuple(signatures[g] for g in order),
+            keys=[keys[g] for g in order],
+            subject_index=matrix._subject_index,
+            row_signature=row_signature,
+            matrix_rows=True,
         )
 
     @classmethod
@@ -258,12 +358,30 @@ class SignatureTable:
     @property
     def signatures(self) -> Tuple[Signature, ...]:
         """All signatures, largest signature set first."""
+        if self._signatures is None:
+            properties = self._properties
+            self._signatures = tuple(
+                frozenset(properties[j] for j in np.flatnonzero(row))
+                for row in self._support_bool
+            )
         return self._signatures
+
+    def _signature_positions(self) -> Dict[Signature, int]:
+        """signature -> its row in table order (built once, lazily)."""
+        if self._signature_index is None:
+            self._signature_index = {sig: g for g, sig in enumerate(self.signatures)}
+        return self._signature_index
+
+    def _key_list(self) -> List[Tuple[str, ...]]:
+        """The :func:`signature_key` of every signature, in table order."""
+        if self._keys is None:
+            self._keys = [signature_key(sig) for sig in self.signatures]
+        return self._keys
 
     @property
     def n_signatures(self) -> int:
         """Number of distinct signatures ``|Λ(D)|``."""
-        return len(self._signatures)
+        return len(self._count_vec)
 
     @property
     def n_properties(self) -> int:
@@ -278,44 +396,60 @@ class SignatureTable:
     @property
     def has_members(self) -> bool:
         """Whether concrete member subjects are tracked."""
-        return self._members is not None
+        return self._member_ids is not None
 
     def count(self, signature: Iterable[URI]) -> int:
         """Return the size of the signature set for ``signature`` (0 if absent)."""
-        return self._counts.get(frozenset(coerce_uri(p) for p in signature), 0)
+        g = self._signature_positions().get(frozenset(coerce_uri(p) for p in signature))
+        return 0 if g is None else int(self._count_vec[g])
 
     def counts(self) -> Dict[Signature, int]:
         """Return a copy of the signature -> size mapping."""
-        return dict(self._counts)
+        return dict(zip(self.signatures, self._count_vec.tolist()))
 
     def support(self, signature: Signature) -> Signature:
         """Return ``supp(µ)``, i.e. the signature itself as a property set."""
         return signature
 
+    def _require_members(self) -> np.ndarray:
+        if self._member_ids is None:
+            raise RDFError("this signature table does not track member subjects")
+        return self._member_ids
+
+    def _decode(self, member_ids: np.ndarray) -> Tuple[URI, ...]:
+        """The subject labels at the given member positions."""
+        return tuple(map(self._subjects.__getitem__, member_ids.tolist()))
+
     def members_of(self, signature: Iterable[URI]) -> Tuple[URI, ...]:
         """Return the member subjects of a signature set (requires members)."""
-        if self._members is None:
-            raise RDFError("this signature table does not track member subjects")
-        return self._members.get(frozenset(coerce_uri(p) for p in signature), ())
+        member_ids = self._require_members()
+        g = self._signature_positions().get(frozenset(coerce_uri(p) for p in signature))
+        if g is None:
+            return ()
+        start = int(self._count_vec[:g].sum())
+        return self._decode(member_ids[start:start + int(self._count_vec[g])])
 
-    def _member_index_map(self) -> Dict[URI, Signature]:
-        """The subject -> signature reverse index (built once, lazily)."""
-        if self._members is None:
-            raise RDFError("this signature table does not track member subjects")
-        if self._member_index is None:
-            self._member_index = {
-                subject: signature
-                for signature, subjects in self._members.items()
-                for subject in subjects
-            }
-        return self._member_index
+    def _row_signatures(self) -> np.ndarray:
+        """position -> signature row (-1 for a label that is no member), built lazily."""
+        if self._row_signature is None:
+            row_signature = np.full(len(self._subjects), -1, dtype=np.int32)
+            row_signature[self._member_ids] = np.repeat(
+                np.arange(len(self._count_vec), dtype=np.int32), self._count_vec
+            )
+            self._row_signature = row_signature
+        return self._row_signature
 
     def signature_of(self, subject: object) -> Signature:
         """Return the signature of a tracked subject (requires members)."""
-        signature = self._member_index_map().get(coerce_uri(subject))
-        if signature is None:
+        member_ids = self._require_members()
+        if self._subject_index is None:
+            labels = self._subjects
+            self._subject_index = {labels[p]: p for p in member_ids.tolist()}
+        position = self._subject_index.get(coerce_uri(subject))
+        g = -1 if position is None else int(self._row_signatures()[position])
+        if g < 0:
             raise RDFError(f"subject {subject!r} is not tracked by this signature table")
-        return signature
+        return self.signatures[g]
 
     # ------------------------------------------------------------------ #
     # Aggregates used by the closed-form structuredness functions
@@ -326,7 +460,7 @@ class SignatureTable:
 
     def n_ones(self) -> int:
         """Total number of (subject, property) facts: ``sum_µ |S(µ)| * |supp(µ)|``."""
-        if not self._signatures:
+        if not len(self._count_vec):
             return 0
         support_sizes = self._support_bool.sum(axis=1)
         return int(self._count_vec @ support_sizes)
@@ -348,14 +482,12 @@ class SignatureTable:
 
     def property_counts(self) -> Dict[URI, int]:
         """Mapping property -> number of subjects having it."""
-        totals = self._count_vec @ self._support_bool if self._signatures else np.zeros(
-            self.n_properties, dtype=np.int64
-        )
+        totals = self.property_count_vector()
         return {p: int(totals[j]) for j, p in enumerate(self._properties)}
 
     def property_count_vector(self) -> np.ndarray:
         """Per-property subject counts aligned with :attr:`properties`."""
-        if not self._signatures:
+        if not len(self._count_vec):
             return np.zeros(self.n_properties, dtype=np.int64)
         return np.asarray(self._count_vec @ self._support_bool, dtype=np.int64)
 
@@ -374,18 +506,18 @@ class SignatureTable:
         if col1 is None and col2 is None:
             return 0
         if col1 is None:
-            col1 = np.zeros(len(self._signatures), dtype=bool)
+            col1 = np.zeros(self.n_signatures, dtype=bool)
         if col2 is None:
-            col2 = np.zeros(len(self._signatures), dtype=bool)
+            col2 = np.zeros(self.n_signatures, dtype=bool)
         return int(self._count_vec @ (col1 | col2))
 
     def count_vector(self) -> np.ndarray:
         """Signature-set sizes as an integer vector aligned with :attr:`signatures`."""
-        return self._count_vec.copy()
+        return np.array(self._count_vec, dtype=np.int64)
 
     def support_matrix(self) -> np.ndarray:
         """Boolean matrix of shape (n_signatures, n_properties): signature supports."""
-        return self._support_bool.copy()
+        return np.array(self._support_bool, dtype=bool)
 
     def packed_support_matrix(self) -> np.ndarray:
         """The signature supports as packed bitset rows (``np.packbits`` layout).
@@ -404,71 +536,171 @@ class SignatureTable:
     def apply_delta(
         self, matrix: PropertyMatrix, delta: GraphDelta, name: Optional[str] = None
     ) -> "SignatureTable":
-        """Re-group only the touched subjects after a graph mutation.
+        """Move only the touched subjects between signature sets after a graph mutation.
 
         ``matrix`` must be the *already mutated* property matrix (the
         result of :meth:`PropertyMatrix.apply_delta`, or an equal rebuild)
         and ``self`` the signature table of the pre-delta matrix with
         member tracking.  The result equals
         ``SignatureTable.from_matrix(matrix)`` exactly — same signatures,
-        counts, member sets and member order — but only the delta's
-        subjects move between signature sets.  (The constructor still
-        re-normalises every member tuple and support row, so a patch is
-        O(subjects) with small constants — what it saves over
-        ``from_matrix`` is the packbits/unique grouping pass and the
-        per-subject membership assembly, the dominant rebuild costs.)
+        counts, member sets and member order.
+
+        Each touched subject's old signature comes from the cached
+        row → signature array and its new one from its patched matrix
+        row; its position is deleted from one block of the member column
+        and inserted, in order, into another (a new signature's block
+        starts empty).  Blocks are reordered only when the
+        (−count, property names) order changed.  That is Python work in
+        the touched subjects and the signatures, plus a few O(subjects)
+        NumPy copies; nothing is re-coerced or regrouped.  When the
+        subject universe changed, the column is re-based onto the new
+        rows with one vectorised shift; a table whose column is not
+        matrix rows (one reopened from a snapshot holds term IDs) is
+        re-based once by label, and its successors patch as above.
 
         Requires row-sorted provenance (``from_matrix`` of a
-        ``from_graph`` matrix), whose member tuples are sorted by subject;
+        ``from_graph`` matrix), whose member blocks are sorted by subject;
         sorted order is preserved so chained deltas stay bit-identical to
-        rebuilds.
+        rebuilds.  A column re-based by label comes out in row order
+        whatever order its members were listed in.
         """
-        if self._members is None:
+        self._require_members()
+        subjects = matrix.subjects
+        rows_of = matrix._subject_index
+        if self._matrix_rows and self._subjects is subjects:
+            member_ids = self._member_ids
+            counts = self._count_vec.copy()
+            row_signature = self._row_signatures().copy()
+        else:
+            member_ids, counts, row_signature = self._rebased(matrix, delta)
+
+        properties = matrix.properties
+        support, live = self._support_over(properties)
+        n_old = len(counts)
+        width = len(properties)
+        raw = np.ascontiguousarray(support).tobytes()
+        lookup = {raw[g * width:(g + 1) * width]: g for g in range(n_old) if live[g]}
+        data = matrix.data
+        fresh: List[np.ndarray] = []
+        moves: List[Tuple[int, int, int]] = []
+        for subject in delta.subjects:
+            row = rows_of.get(subject)
+            if row is None:
+                continue  # left the matrix; the rebase already dropped it
+            old = int(row_signature[row])
+            key = data[row].tobytes()
+            new = lookup.get(key)
+            if new is None:
+                new = lookup[key] = n_old + len(fresh)
+                fresh.append(data[row])
+            if new != old:
+                moves.append((row, old, new))
+
+        if fresh:
+            counts = np.concatenate([counts, np.zeros(len(fresh), dtype=np.int64)])
+            support = np.concatenate([support, np.array(fresh, dtype=bool)])
+        if moves:
+            starts = np.concatenate(([0], np.cumsum(counts)))
+            gone = []
+            for row, old, _new in moves:
+                if old >= 0:
+                    lo, hi = starts[old], starts[old + 1]
+                    gone.append(lo + int(np.searchsorted(member_ids[lo:hi], row)))
+                    counts[old] -= 1
+            member_ids = np.delete(member_ids, gone)
+            starts = np.concatenate(([0], np.cumsum(counts)))
+            moves.sort(key=lambda move: (move[2], move[0]))
+            at = []
+            for row, _old, new in moves:
+                lo, hi = starts[new], starts[new + 1]
+                at.append(lo + int(np.searchsorted(member_ids[lo:hi], row)))
+            member_ids = np.insert(member_ids, at, [row for row, _old, _new in moves])
+            for row, _old, new in moves:
+                counts[new] += 1
+                row_signature[row] = new
+
+        if any(counts[g] for g, alive in enumerate(live) if not alive):
             raise RDFError(
-                "apply_delta requires a signature table that tracks member "
-                "subjects (build it with from_matrix/from_graph)"
+                "delta does not match this signature table: a subject keeps a "
+                "property that left the matrix"
             )
-        index = dict(self._member_index_map())
-        counts: Dict[Signature, int] = dict(self._counts)
-        members: Dict[Signature, Tuple[URI, ...]] = dict(self._members)
-        removals: Dict[Signature, set] = {}
-        additions: Dict[Signature, List[URI]] = {}
-        for subject in sorted(delta.subjects):
-            old_sig = index.get(subject)
-            new_sig = (
-                frozenset(matrix.properties_of(subject))
-                if matrix.has_subject(subject)
-                else None
-            )
-            if old_sig == new_sig:
-                continue
-            if old_sig is not None:
-                removals.setdefault(old_sig, set()).add(subject)
-            if new_sig is None:
-                del index[subject]
-            else:
-                additions.setdefault(new_sig, []).append(subject)
-                index[subject] = new_sig
-        for signature, gone in removals.items():
-            remaining = tuple(s for s in members[signature] if s not in gone)
-            if remaining:
-                members[signature] = remaining
-                counts[signature] = len(remaining)
-            else:
-                del members[signature]
-                del counts[signature]
-        for signature, fresh in additions.items():
-            combined = tuple(sorted(members.get(signature, ()) + tuple(fresh)))
-            members[signature] = combined
-            counts[signature] = len(combined)
-        table = SignatureTable(
-            matrix.properties,
+        signatures = self.signatures
+        keys = list(self._key_list())
+        for row in fresh:
+            signature = frozenset(properties[j] for j in np.flatnonzero(row))
+            signatures += (signature,)
+            keys.append(signature_key(signature))
+        return SignatureTable._from_columns(
+            properties,
+            support,
             counts,
-            members=members,
-            name=self.name if name is None else name,
+            member_ids,
+            subjects,
+            self.name if name is None else name,
+            signatures=signatures,
+            keys=keys,
+            subject_index=rows_of,
+            row_signature=row_signature,
+            matrix_rows=True,
+            in_order=False,
         )
-        table._member_index = index
-        return table
+
+    def _rebased(
+        self, matrix: PropertyMatrix, delta: GraphDelta
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The member column re-expressed as rows of ``matrix``.
+
+        Returns ``(member_ids, counts, row_signature)`` with subjects that
+        left the matrix dropped and every block ascending.  A column of
+        the pre-delta matrix's rows is shifted past the rows that left and
+        entered (one vectorised remap); any other column is mapped label
+        by label and sorted within its blocks, once.
+        """
+        rows_of = matrix._subject_index
+        n_rows = matrix.n_subjects
+        n_sig = len(self._count_vec)
+        groups = np.repeat(np.arange(n_sig, dtype=np.int32), self._count_vec)
+        rows = None
+        if self._matrix_rows:
+            old_rows = self._subject_index
+            left = sorted(old_rows[s] for s in delta.subjects if s in old_rows and s not in rows_of)
+            entered = sorted(rows_of[s] for s in delta.subjects if s not in old_rows and s in rows_of)
+            n_old = len(self._subjects)
+            if n_old - len(left) == n_rows - len(entered):
+                shift = np.full(n_old, -1, dtype=np.int64)
+                shift[np.delete(np.arange(n_old), left)] = np.delete(np.arange(n_rows), entered)
+                rows = shift[self._member_ids]
+        if rows is None:
+            labels = self._subjects
+            rows = np.fromiter(
+                (rows_of.get(labels[p], -1) for p in self._member_ids.tolist()),
+                dtype=np.int64,
+                count=len(self._member_ids),
+            )
+            order = np.lexsort((rows, groups))
+            rows, groups = rows[order], groups[order]
+        kept = rows >= 0
+        rows, groups = rows[kept].astype(np.int32), groups[kept]
+        row_signature = np.full(n_rows, -1, dtype=np.int32)
+        row_signature[rows] = groups
+        return rows, np.bincount(groups, minlength=n_sig).astype(np.int64, copy=False), row_signature
+
+    def _support_over(self, properties: Tuple[URI, ...]) -> Tuple[np.ndarray, List[bool]]:
+        """The support matrix over another property universe.
+
+        Returns it with, per signature, whether the signature survives:
+        one that uses a property outside ``properties`` cannot be anyone's
+        signature any more.
+        """
+        if properties == self._properties:
+            return self._support_bool, [True] * self.n_signatures
+        column_of = {p: j for j, p in enumerate(self._properties)}
+        shared = [j for j, p in enumerate(properties) if p in column_of]
+        support = np.zeros((self.n_signatures, len(properties)), dtype=bool)
+        support[:, shared] = self._support_bool[:, [column_of[properties[j]] for j in shared]]
+        kept = set(properties)
+        vanished = [j for j, p in enumerate(self._properties) if p not in kept]
+        return support, (~self._support_bool[:, vanished].any(axis=1)).tolist()
 
     # ------------------------------------------------------------------ #
     # Derived tables
@@ -483,18 +715,33 @@ class SignatureTable:
         evaluating ``σ_r`` over the implicit sort requires.
         """
         wanted = [frozenset(coerce_uri(p) for p in sig) for sig in signatures]
-        unknown = [sig for sig in wanted if sig not in self._counts]
+        positions = self._signature_positions()
+        unknown = [sig for sig in wanted if sig not in positions]
         if unknown:
             raise RDFError(f"unknown signatures requested: {[signature_key(s) for s in unknown]}")
-        used: set = set()
-        for sig in wanted:
-            used |= sig
-        properties = tuple(p for p in self._properties if p in used)
-        counts = {sig: self._counts[sig] for sig in wanted}
-        members = None
-        if self._members is not None:
-            members = {sig: self._members[sig] for sig in wanted}
-        return SignatureTable(properties, counts, members=members, name=name or self.name)
+        # A subset of a table keeps the table's relative order.
+        rows = sorted({positions[sig] for sig in wanted})
+        used = np.flatnonzero(self._support_bool[rows].any(axis=0))
+        member_ids = None
+        if self._member_ids is not None:
+            blocks = _blocks(self._member_ids, self._count_vec)
+            member_ids = (
+                np.concatenate([blocks[g] for g in rows])
+                if rows
+                else np.zeros(0, dtype=np.int32)
+            )
+        keys = self._key_list()
+        return SignatureTable._from_columns(
+            tuple(self._properties[j] for j in used),
+            self._support_bool[np.ix_(rows, used)],
+            self._count_vec[rows],
+            member_ids,
+            self._subjects,
+            name or self.name,
+            signatures=tuple(self.signatures[g] for g in rows),
+            keys=[keys[g] for g in rows],
+            subject_index=self._subject_index,
+        )
 
     def restrict_properties(self, properties: Iterable[URI], name: str = "") -> "SignatureTable":
         """Project the table onto a property subset, merging equal signatures.
@@ -504,19 +751,44 @@ class SignatureTable:
         """
         keep = [coerce_uri(p) for p in properties]
         keep_set = set(keep)
-        counts: Dict[Signature, int] = {}
-        members: Optional[Dict[Signature, List[URI]]] = {} if self._members is not None else None
-        for sig, count in self._counts.items():
-            projected = frozenset(p for p in sig if p in keep_set)
-            counts[projected] = counts.get(projected, 0) + count
-            if members is not None:
-                members.setdefault(projected, []).extend(self._members[sig])
-        member_arg = None
-        if members is not None:
-            member_arg = {sig: tuple(subs) for sig, subs in members.items()}
-        ordered_props = tuple(p for p in self._properties if p in keep_set)
+        ordered = tuple(p for p in self._properties if p in keep_set)
         extra = tuple(p for p in keep if p not in self._properties)
-        return SignatureTable(ordered_props + extra, counts, members=member_arg, name=name or self.name)
+        universe = ordered + extra
+        if len(set(universe)) != len(universe):
+            raise RDFError("duplicate properties in signature table")
+        projected = np.zeros((self.n_signatures, len(universe)), dtype=bool)
+        projected[:, : len(ordered)] = self._support_bool[
+            :, [self._properties.index(p) for p in ordered]
+        ]
+        # Merge equal projections; members concatenate in table order.
+        group_of: Dict[bytes, int] = {}
+        firsts: List[int] = []
+        sizes: List[int] = []
+        parts: List[List[int]] = []
+        for g, count in enumerate(self._count_vec.tolist()):
+            key = projected[g].tobytes()
+            target = group_of.get(key)
+            if target is None:
+                target = group_of[key] = len(firsts)
+                firsts.append(g)
+                sizes.append(0)
+                parts.append([])
+            sizes[target] += count
+            parts[target].append(g)
+        member_ids = None
+        if self._member_ids is not None:
+            blocks = _blocks(self._member_ids, self._count_vec)
+            member_ids = np.concatenate([blocks[g] for part in parts for g in part] or [self._member_ids])
+        return SignatureTable._from_columns(
+            universe,
+            projected[firsts],
+            np.array(sizes, dtype=np.int64),
+            member_ids,
+            self._subjects,
+            name or self.name,
+            signatures=tuple(frozenset(p for p in self.signatures[g] if p in keep_set) for g in firsts),
+            in_order=False,
+        )
 
     def merge(self, other: "SignatureTable", name: str = "") -> "SignatureTable":
         """Return the union of two signature tables (summing counts).
@@ -527,18 +799,39 @@ class SignatureTable:
         for p in other.properties:
             if p not in properties:
                 properties.append(p)
-        counts: Dict[Signature, int] = dict(self._counts)
-        for sig, count in other.counts().items():
-            counts[sig] = counts.get(sig, 0) + count
-        members = None
-        if self._members is not None and other._members is not None:
-            members_acc: Dict[Signature, List[URI]] = {
-                sig: list(subs) for sig, subs in self._members.items()
-            }
-            for sig, subs in other._members.items():
-                members_acc.setdefault(sig, []).extend(subs)
-            members = {sig: tuple(subs) for sig, subs in members_acc.items()}
-        return SignatureTable(properties, counts, members=members, name=name)
+        universe = tuple(properties)
+        group_of: Dict[Signature, int] = {}
+        signatures: List[Signature] = []
+        sizes: List[int] = []
+        parts: List[List[np.ndarray]] = []
+        member_ids = subjects = None
+        offset = 0
+        for table in (self, other):
+            starts = offset + np.concatenate(([0], np.cumsum(table._count_vec)))
+            for g, (signature, count) in enumerate(zip(table.signatures, table._count_vec.tolist())):
+                target = group_of.get(signature)
+                if target is None:
+                    target = group_of[signature] = len(signatures)
+                    signatures.append(signature)
+                    sizes.append(0)
+                    parts.append([])
+                sizes[target] += count
+                parts[target].append(np.arange(starts[g], starts[g + 1], dtype=np.int32))
+            offset += table.n_subjects
+        if self.has_members and other.has_members:
+            # The merged labels: this table's members, then the other's.
+            subjects = self._decode(self._member_ids) + other._decode(other._member_ids)
+            member_ids = np.concatenate([np.zeros(0, dtype=np.int32), *(b for part in parts for b in part)])
+        return SignatureTable._from_columns(
+            universe,
+            _support_rows(universe, signatures),
+            np.array(sizes, dtype=np.int64),
+            member_ids,
+            subjects,
+            name,
+            signatures=tuple(signatures),
+            in_order=False,
+        )
 
     def scale(self, factor: float, minimum: int = 1, name: str = "") -> "SignatureTable":
         """Return a table with every signature-set size multiplied by ``factor``.
@@ -553,7 +846,7 @@ class SignatureTable:
         if factor <= 0:
             raise RDFError("scale factor must be positive")
         counts = {
-            sig: max(minimum, int(round(count * factor))) for sig, count in self._counts.items()
+            sig: max(minimum, int(round(count * factor))) for sig, count in self.counts().items()
         }
         return SignatureTable(self._properties, counts, name=name or self.name)
 
@@ -563,10 +856,8 @@ class SignatureTable:
         When member subjects are tracked they become the row labels;
         otherwise synthetic subject URIs ``<prefix><i>`` are minted.
         """
-        subjects: List[URI] = []
-        if self._members is not None:
-            for sig in self._signatures:
-                subjects.extend(self._members[sig])
+        if self._member_ids is not None:
+            subjects: Sequence[URI] = self._decode(self._member_ids)
         else:
             subjects = [URI(f"{subject_prefix}{i}") for i in range(self.n_subjects)]
         # Expand each signature's support row once per member subject.
@@ -581,20 +872,20 @@ class SignatureTable:
     # Dunder methods
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._signatures)
+        return self.n_signatures
 
     def __iter__(self):
-        return iter(self._signatures)
+        return iter(self.signatures)
 
     def __contains__(self, signature: object) -> bool:
         if not isinstance(signature, (frozenset, set)):
             return False
-        return frozenset(signature) in self._counts
+        return frozenset(signature) in self._signature_positions()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignatureTable):
             return NotImplemented
-        return self._properties == other._properties and self._counts == other._counts
+        return self._properties == other._properties and self.counts() == other.counts()
 
     def __ne__(self, other: object) -> bool:
         result = self.__eq__(other)

@@ -693,8 +693,11 @@ class RDFGraph:
         type_id = self._dict.id_of(RDF.type)
         if type_id == NO_ID:
             return set()
-        self._index()
         term = self._dict.term_of
+        columns = self._columns
+        if columns is not None:
+            return {term(o_id) for o_id in _distinct(columns[columns[:, 1] == type_id, 2]).tolist()}
+        self._index()
         sorts: Set[Term] = set()
         for objects in self._pos.get(type_id, {}).values():
             sorts.update(term(o_id) for o_id in objects)
@@ -801,15 +804,23 @@ class RDFGraph:
 
     def describe(self) -> Dict[str, int]:
         """Return summary statistics (triples, subjects, properties, literals)."""
-        self._index()
         term = self._dict.term_of
-        literal_count = sum(1 for o_id in self._osp if isinstance(term(o_id), Literal))
+        columns = self._columns
+        if columns is not None:
+            n_triples = len(columns)
+            n_subjects = len(_distinct(columns[:, 0]))
+            n_properties = len(_distinct(columns[:, 1]))
+            objects = _distinct(columns[:, 2]).tolist()
+        else:
+            self._index()
+            n_triples, n_subjects, n_properties = self._size, len(self._spo), len(self._pos)
+            objects = list(self._osp)
         return {
-            "triples": self._size,
-            "subjects": len(self._spo),
-            "properties": len(self._pos),
+            "triples": n_triples,
+            "subjects": n_subjects,
+            "properties": n_properties,
             "properties_excluding_type": len(self.properties(exclude_type=True)),
-            "distinct_objects": len(self._osp),
-            "distinct_literals": literal_count,
+            "distinct_objects": len(objects),
+            "distinct_literals": sum(1 for o_id in objects if isinstance(term(o_id), Literal)),
             "sorts": len(self.all_sorts()),
         }

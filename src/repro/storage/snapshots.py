@@ -292,10 +292,12 @@ def encode_chain(
         counts.setdefault("properties", table.n_properties)
         if table.has_members:
             table_has_members = True
-            members: List[URI] = []
-            for signature in table.signatures:
-                members.extend(table.members_of(signature))
-            arrays["table_member_ids"] = _ids_of(dictionary, members)
+            if matrix is not None and table._subjects is matrix.subjects:
+                # The member column holds matrix rows: gather their IDs.
+                arrays["table_member_ids"] = arrays["matrix_subject_ids"][table._member_ids]
+            else:
+                members = table._decode(table._member_ids)
+                arrays["table_member_ids"] = _ids_of(dictionary, members)
 
     # The dictionary segments go last: encoding the other segments may have
     # interned additional labels, and every ID they use must decode.
@@ -786,10 +788,19 @@ class Snapshot:
         return PropertyMatrix(data, subjects, properties, name=self.info.name)
 
     def load_table(self) -> SignatureTable:
-        """Reconstruct the :class:`SignatureTable` (supports, counts, members)."""
-        support = self._load_segment("table_support")
-        count_vec = self._load_segment("table_counts")
-        properties = self._decode_ids("table_property_ids")
+        """Reconstruct the :class:`SignatureTable` over the mapped table segments.
+
+        The support, count and member segments become the table's columns
+        as they are (read-only views of the memory-map when the snapshot
+        was opened with ``mmap=True``): the member column holds term IDs,
+        decoded through the term list only when members are asked for.
+        The cost is decoding the property labels, one frozenset per
+        signature and a bounds check over the member IDs.
+        """
+        # Plain views of the maps: memmap-typed slices are slow to index.
+        support = np.asarray(self._load_segment("table_support"))
+        count_vec = np.asarray(self._load_segment("table_counts"))
+        properties = tuple(self._decode_ids("table_property_ids"))
         if (
             support.ndim != 2
             or count_vec.ndim != 1
@@ -800,33 +811,44 @@ class Snapshot:
                 f"snapshot table segments disagree: support {support.shape}, "
                 f"{len(count_vec)} counts, {len(properties)} properties"
             )
+        if len(set(properties)) != len(properties):
+            raise SnapshotError(f"snapshot {str(self._path)!r} table properties are not distinct")
+        if count_vec.size and int(count_vec.min()) < 1:
+            raise SnapshotError(f"snapshot {str(self._path)!r} table counts must be positive")
+        if not support.size:
+            support = np.zeros((len(count_vec), len(properties)), dtype=bool)
         signatures: List[Signature] = [
-            frozenset(properties[j] for j in np.flatnonzero(row))
-            for row in np.asarray(support)
+            frozenset(properties[j] for j in np.flatnonzero(row)) for row in support
         ]
-        counts: Dict[Signature, int] = {
-            signature: int(count)
-            for signature, count in zip(signatures, count_vec.tolist())
-        }
-        if len(counts) != len(signatures):
+        if len(set(signatures)) != len(signatures):
             raise SnapshotError(
                 f"snapshot {str(self._path)!r} table support rows are not distinct"
             )
-        members = None
+        member_ids = terms = None
         if self.info.table_has_members:
-            member_terms = self._decode_ids("table_member_ids")
-            if len(member_terms) != int(count_vec.sum()):
+            member_ids = np.asarray(self._load_segment("table_member_ids"))
+            terms = self._term_list()
+            if member_ids.ndim != 1 or len(member_ids) != int(count_vec.sum()):
                 raise SnapshotError(
-                    f"snapshot member segment has {len(member_terms)} subjects; "
+                    f"snapshot member segment has {len(member_ids)} subjects; "
                     f"the counts sum to {int(count_vec.sum())}"
                 )
-            members = {}
-            start = 0
-            for signature, count in zip(signatures, count_vec.tolist()):
-                members[signature] = tuple(member_terms[start:start + count])
-                start += count
-        return SignatureTable(
-            properties, counts, members=members, name=self.info.name
+            if member_ids.size and (
+                int(member_ids.min()) < 0 or int(member_ids.max()) >= len(terms)
+            ):
+                raise SnapshotError(
+                    f"snapshot segment 'table_member_ids' references term IDs outside "
+                    f"the dictionary (0..{len(terms) - 1})"
+                )
+        return SignatureTable._from_columns(
+            properties,
+            support,
+            count_vec,
+            member_ids,
+            terms,
+            self.info.name,
+            signatures=tuple(signatures),
+            in_order=False,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

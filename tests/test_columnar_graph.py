@@ -15,6 +15,7 @@ file under two hash seeds.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 from pathlib import Path
@@ -185,6 +186,33 @@ def test_with_sort_detaches_the_subgraph_onto_its_own_terms(source, parent_form)
     assert (parent.graph._columns is not None) == (parent_form == "columnar")
 
 
+#: No ``rdf:type`` triple, though the type URI is interned (as an object).
+UNTYPED_NTRIPLES = (
+    '<http://e/a> <http://e/p> "1" .\n'
+    "<http://e/b> <http://e/q> <http://e/a> .\n"
+    f"<http://e/b> <http://e/r> <{RDF_TYPE}> .\n"
+)
+
+
+@pytest.mark.parametrize("row_order", ["sorted", "shuffled"])
+def test_sorts_and_describe_answer_from_the_columns(source, row_order):
+    columnar = load_ntriples(source) if row_order == "sorted" else _shuffled(source)
+    indexed = _indexed(source)
+    assert columnar.all_sorts() == indexed.all_sorts()
+    assert columnar.describe() == indexed.describe()
+    assert columnar._columns is not None
+
+
+def test_untyped_graph_sorts_and_describe_answer_from_the_columns(tmp_path):
+    path = tmp_path / "untyped.nt"
+    path.write_text(UNTYPED_NTRIPLES, encoding="utf-8")
+    columnar, indexed = load_ntriples(path), _indexed(path)
+    assert columnar.all_sorts() == indexed.all_sorts() == set()
+    assert columnar.describe() == indexed.describe()
+    assert columnar.describe()["sorts"] == 0
+    assert columnar._columns is not None
+
+
 def test_pattern_iteration_and_set_operations_match_after_the_index_build(source):
     columnar, indexed = load_ntriples(source), _indexed(source)
     assert set(columnar) == set(indexed)  # iteration builds the indexes
@@ -344,6 +372,34 @@ def test_build_and_save_record_no_index_span_and_first_mutate_one(spine, tmp_pat
     assert _index_spans(spine) == 1
     loaded.mutate(add=[("http://e/new", "http://e/p", '"1"')])
     assert _index_spans(spine) == 2
+
+
+def test_first_mutate_records_the_index_build_under_graph_delta(spine, monkeypatch, tmp_path):
+    """The one-off index build is attributed to the graph half of a mutation."""
+    Dataset.from_ntriples_text(EDGE_NTRIPLES, name="spans").save(tmp_path / "snap")
+    dataset = Dataset.load(tmp_path / "snap")
+    dataset.table
+    open_spans, enclosing = [], []
+    record = spine.span
+
+    @contextlib.contextmanager
+    def tracked(name):
+        if name == "rdf.graph_index":
+            enclosing.append(list(open_spans))
+        open_spans.append(name)
+        try:
+            with record(name):
+                yield
+        finally:
+            open_spans.pop()
+
+    monkeypatch.setattr(spine, "span", tracked)
+    for _ in range(2):
+        dataset.mutate(add=[("http://e/new", "http://e/p", '"1"')])
+        dataset.mutate(remove=[("http://e/new", "http://e/p", '"1"')])
+    assert enclosing == [["dataset.mutate", "dataset.graph_delta"]]
+    spans = spine.snapshot()["spans"]
+    assert spans["dataset.graph_delta"]["count"] == spans["dataset.mutate"]["count"] == 4
 
 
 def test_sorted_build_and_save_record_no_index_span(spine, source, tmp_path):

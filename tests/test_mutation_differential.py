@@ -14,7 +14,10 @@ scenarios: a random graph (multi-valued properties, literals and URIs,
 deletes of absent triples, duplicate inserts of present triples, entity
 and property-universe removals, and delete-then-re-insert overlaps), and
 the differential assertion.  The mixed rule additionally chains deltas so
-the carried-forward member index is exercised across generations.
+the carried-forward member column and row → signature array are exercised
+across generations.  A Hypothesis property replays short delta sequences
+over a small typed graph and compares the patched table with
+``from_matrix`` after every step.
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.matrix.signatures as signatures_module
 from repro.api import Dataset
 from repro.functions.structuredness import (
     conditional_dependency,
@@ -261,6 +267,174 @@ class TestApplyDeltaDifferential:
         matrix = PropertyMatrix.from_graph(graph)
         with pytest.raises(Exception, match="member"):
             table.apply_delta(matrix, delta)
+
+
+# --------------------------------------------------------------------- #
+# Hypothesis: short delta sequences on a small typed graph
+# --------------------------------------------------------------------- #
+#: Signature sets {p0}: a b c, {p0, p1}: d e, {p1, p2}: f; everyone typed.
+BASE_ROWS = {"a": ["p0"], "b": ["p0"], "c": ["p0"], "d": ["p0", "p1"], "e": ["p0", "p1"], "f": ["p1", "p2"]}
+#: g and h are brand-new subjects, p3 a brand-new property.
+DELTA_SUBJECTS = ["a", "c", "d", "f", "g", "h"]
+DELTA_PROPERTIES = ["p0", "p1", "p2", "p3", "type"]
+
+
+def _typed_graph() -> RDFGraph:
+    graph = RDFGraph(name="typed")
+    graph.add_triples(
+        _triple(s, p) for s, props in BASE_ROWS.items() for p in props + ["type"]
+    )
+    return graph
+
+
+def _triple(subject: str, prop: str) -> tuple:
+    if prop == "type":
+        return (EX[subject], RDF.type, EX.Person)
+    return (EX[subject], EX[prop], Literal("v"))
+
+
+def _apply(graph: RDFGraph, delta: list):
+    add = [_triple(s, p) for op, s, p in delta if op == "add"]
+    remove = [_triple(s, p) for op, s, p in delta if op == "remove"]
+    return graph.remove_triples(remove).merge(graph.add_triples(add))
+
+
+def assert_table_equals_from_matrix(table: SignatureTable, matrix: PropertyMatrix, context):
+    rebuilt = SignatureTable.from_matrix(matrix)
+    assert table.signatures == rebuilt.signatures, context
+    assert table.properties == rebuilt.properties, context
+    assert np.array_equal(table.count_vector(), rebuilt.count_vector()), context
+    assert np.array_equal(table.support_matrix(), rebuilt.support_matrix()), context
+    for signature in rebuilt.signatures:
+        assert table.members_of(signature) == rebuilt.members_of(signature), context
+    for subject in matrix.subjects:
+        assert table.signature_of(subject) == rebuilt.signature_of(subject), context
+
+
+_deltas = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["add", "remove"]),
+            st.sampled_from(DELTA_SUBJECTS),
+            st.sampled_from(DELTA_PROPERTIES),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(deltas=_deltas, relabelled=st.booleans())
+# f loses p2: {p1, p2} empties and {p1} is a new signature.
+@example(deltas=[[("remove", "f", "p2")]], relabelled=False)
+# A brand-new subject, then a brand-new property on it.
+@example(deltas=[[("add", "g", "p0")], [("add", "g", "p3")]], relabelled=False)
+# f's last triples go: the subject leaves the matrix (and p2 the columns).
+@example(deltas=[[("remove", "f", "p1"), ("remove", "f", "p2"), ("remove", "f", "type")]], relabelled=False)
+# c joins {p0, p1}: the 3- and 2-member signatures swap places.
+@example(deltas=[[("add", "c", "p1")], [("remove", "c", "p1")]], relabelled=True)
+def test_delta_sequences_keep_the_patched_table_equal_to_from_matrix(deltas, relabelled):
+    graph = _typed_graph()
+    matrix = PropertyMatrix.from_graph(graph)
+    table = SignatureTable.from_matrix(matrix)
+    if relabelled:
+        # A mapping-built table, members listed in reverse: its member
+        # column is not matrix rows, so the first patch re-bases it by
+        # label and sorts every block into row order.
+        table = SignatureTable(
+            table.properties,
+            table.counts(),
+            members={sig: table.members_of(sig)[::-1] for sig in table.signatures},
+        )
+    for step, delta in enumerate(deltas):
+        graph_delta = _apply(graph, delta)
+        matrix = matrix.apply_delta(graph, graph_delta)
+        table = table.apply_delta(matrix, graph_delta)
+        assert_table_equals_from_matrix(table, matrix, f"step={step} delta={delta}")
+
+
+def test_the_named_cases_happen():
+    """The explicit examples above reach the cases they are named for."""
+    graph = _typed_graph()
+    matrix = PropertyMatrix.from_graph(graph)
+    table = SignatureTable.from_matrix(matrix)
+    before = table.signatures
+
+    delta = _apply(graph, [("add", "c", "p1")])
+    matrix = matrix.apply_delta(graph, delta)
+    swapped = table.apply_delta(matrix, delta)
+    assert swapped.signatures[:2] == (before[1], before[0])
+
+    delta = _apply(graph, [("remove", "f", p) for p in ("p1", "p2", "type")])
+    matrix = matrix.apply_delta(graph, delta)
+    emptied = swapped.apply_delta(matrix, delta)
+    assert frozenset([EX.p1, EX.p2]) not in emptied and not matrix.has_subject(EX.f)
+
+    delta = _apply(graph, [("add", "g", "p3")])
+    matrix = matrix.apply_delta(graph, delta)
+    created = emptied.apply_delta(matrix, delta)
+    assert created.signature_of(EX.g) == frozenset([EX.p3])
+    assert frozenset([EX.p3]) not in emptied
+
+
+class TestTogglePatchesInPlace:
+    """A one-triple toggle moves one subject: no member is re-coerced or regrouped."""
+
+    def _toggle(self, dataset: Dataset, monkeypatch, new_property: bool) -> list:
+        matrix = dataset.matrix
+        if new_property:
+            # The property universe changes on every toggle.
+            triple = (matrix.subjects[len(matrix.subjects) // 2], EX.toggled, Literal("1"))
+        else:
+            # No label enters or leaves: the steady state of a served toggle.
+            row, column = np.argwhere(~matrix.data)[len(matrix.subjects) // 2]
+            triple = (matrix.subjects[row], matrix.properties[column], Literal("1"))
+        dataset.mutate(add=[triple])  # warm-up: index build and any one-off re-base
+        dataset.mutate(remove=[triple])
+        calls = []
+        real_coerce = signatures_module.coerce_uri
+
+        def counting_coerce(value):
+            calls.append(value)
+            return real_coerce(value)
+
+        def no_init(self, *args, **kwargs):
+            raise AssertionError("a toggle must not go through SignatureTable.__init__")
+
+        monkeypatch.setattr(signatures_module, "coerce_uri", counting_coerce)
+        monkeypatch.setattr(SignatureTable, "__init__", no_init)
+        for _ in range(2):
+            dataset.mutate(add=[triple])
+            dataset.mutate(remove=[triple])
+        monkeypatch.undo()
+        assert dataset.stats["table_patches"] == 6
+        return calls
+
+    @pytest.mark.parametrize("new_property", [False, True])
+    def test_a_toggle_calls_neither_init_nor_coerce_uri(self, monkeypatch, new_property):
+        from repro.datasets import dbpedia_persons_graph
+
+        graph = dbpedia_persons_graph(n_subjects=300, seed=3)
+        dataset = Dataset.from_graph(graph, name="toggle")
+        dataset.table
+        assert self._toggle(dataset, monkeypatch, new_property) == []
+        fresh = Dataset.from_graph(RDFGraph(list(dataset.graph)))
+        assert_table_equals_from_matrix(dataset.table, fresh.matrix, "after toggles")
+
+    def test_a_snapshot_loaded_table_patches_in_place_after_the_first_mutation(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.datasets import dbpedia_persons_graph
+
+        graph = dbpedia_persons_graph(n_subjects=300, seed=3)
+        Dataset.from_graph(graph, name="toggle").save(tmp_path / "snap")
+        dataset = Dataset.load(tmp_path / "snap")
+        dataset.table
+        assert self._toggle(dataset, monkeypatch, new_property=False) == []
+        assert_table_equals_from_matrix(dataset.table, dataset.matrix, "after toggles")
 
 
 class TestDatasetMutationDifferential:

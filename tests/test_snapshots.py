@@ -431,10 +431,10 @@ class TestResidency:
         matrix = report["matrix"]
         assert matrix["built"] and matrix["mmap_segments"] == 1
         assert matrix["mapped_bytes"] > 0 and matrix["resident_bytes"] == 0
-        # the signature table always rebuilds fresh arrays: heap-resident
+        # the signature table adopts its support, count and member segments
         table = report["table"]
-        assert table["built"] and table["mmap_segments"] == 0
-        assert table["resident_bytes"] > 0
+        assert table["built"] and table["mmap_segments"] == 3
+        assert table["mapped_bytes"] > 0 and table["resident_bytes"] == 0
 
     def test_heap_load_reports_resident_matrix(self, tmp_path):
         dataset = Dataset.load(self._snapshot(tmp_path), mmap=False)
@@ -484,8 +484,21 @@ class TestResidency:
         dataset = Dataset.load(self._snapshot(tmp_path), mmap=True)
         assert dataset.residency()["matrix"]["mmap_segments"] == 1
         dataset.mutate(add=[["http://ex/new", "http://ex/name", "http://ex/o"]])
-        matrix = dataset.residency()["matrix"]
+        report = dataset.residency()
+        matrix = report["matrix"]
         assert matrix["mmap_segments"] == 0 and matrix["resident_bytes"] > 0
+        # The patched table owns heap columns: the member column and its
+        # row -> signature array are counted with the support and counts.
+        table = report["table"]
+        n_signatures, n_properties = dataset.table.n_signatures, dataset.table.n_properties
+        n_subjects, n_rows = dataset.table.n_subjects, dataset.matrix.n_subjects
+        assert table == {
+            "built": 1,
+            "mmap_segments": 0,
+            "mapped_bytes": 0,
+            "resident_bytes": 8 * n_signatures + n_signatures * n_properties
+            + 4 * n_subjects + 4 * n_rows,
+        }
 
     def test_registry_describe_carries_residency(self, tmp_path):
         registry = DatasetRegistry()
@@ -496,7 +509,7 @@ class TestResidency:
         [entry] = registry.describe()
         assert entry["spec"]["mmap"] is True
         assert entry["residency"]["matrix"]["mmap_segments"] == 1
-        assert entry["residency"]["table"]["resident_bytes"] > 0
+        assert entry["residency"]["table"]["mmap_segments"] == 3
 
     def test_mmap_spec_field_is_validated(self):
         with pytest.raises(Exception):
