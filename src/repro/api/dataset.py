@@ -403,9 +403,11 @@ class Dataset:
         payload size — paged in on demand, evictable by the OS) and
         ``resident_bytes`` (payload of the arrays that are ordinary heap
         memory).  After :meth:`load` the matrix's cell array and the
-        table's support, count and member columns stay mapped, and a
-        mutation patches both stages into fresh heap arrays — the report
-        reflects both truthfully.  The table's arrays are its support
+        table's support, count and member columns stay mapped.  A
+        mutation patches the matrix and the table's count and member
+        columns into fresh heap arrays; the table's support stays mapped
+        until a mutation creates, drops or reorders a signature or
+        changes the property universe.  The table's arrays are its support
         matrix, count vector, member column and (once a patch or
         ``signature_of`` has built it) its row → signature array.  A
         column-backed graph is accounted by

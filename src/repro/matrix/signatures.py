@@ -553,10 +553,10 @@ class SignatureTable:
         (−count, property names) order changed.  That is Python work in
         the touched subjects and the signatures, plus a few O(subjects)
         NumPy copies; nothing is re-coerced or regrouped.  When the
-        subject universe changed, the column is re-based onto the new
-        rows with one vectorised shift; a table whose column is not
-        matrix rows (one reopened from a snapshot holds term IDs) is
-        re-based once by label, and its successors patch as above.
+        subject universe changed, or the column is not rows of the
+        pre-delta matrix (one reopened from a snapshot holds term IDs),
+        the column is first re-based onto the new rows by label, which
+        is O(subjects) Python work; its successors patch as above.
 
         Requires row-sorted provenance (``from_matrix`` of a
         ``from_graph`` matrix), whose member blocks are sorted by subject;
@@ -572,7 +572,7 @@ class SignatureTable:
             counts = self._count_vec.copy()
             row_signature = self._row_signatures().copy()
         else:
-            member_ids, counts, row_signature = self._rebased(matrix, delta)
+            member_ids, counts, row_signature = self._rebased(matrix)
 
         properties = matrix.properties
         support, live = self._support_over(properties)
@@ -645,43 +645,27 @@ class SignatureTable:
             in_order=False,
         )
 
-    def _rebased(
-        self, matrix: PropertyMatrix, delta: GraphDelta
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _rebased(self, matrix: PropertyMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The member column re-expressed as rows of ``matrix``.
 
         Returns ``(member_ids, counts, row_signature)`` with subjects that
-        left the matrix dropped and every block ascending.  A column of
-        the pre-delta matrix's rows is shifted past the rows that left and
-        entered (one vectorised remap); any other column is mapped label
-        by label and sorted within its blocks, once.
+        left the matrix dropped and every block ascending: each member is
+        mapped to its row by label, then sorted within its block.
         """
         rows_of = matrix._subject_index
-        n_rows = matrix.n_subjects
         n_sig = len(self._count_vec)
         groups = np.repeat(np.arange(n_sig, dtype=np.int32), self._count_vec)
-        rows = None
-        if self._matrix_rows:
-            old_rows = self._subject_index
-            left = sorted(old_rows[s] for s in delta.subjects if s in old_rows and s not in rows_of)
-            entered = sorted(rows_of[s] for s in delta.subjects if s not in old_rows and s in rows_of)
-            n_old = len(self._subjects)
-            if n_old - len(left) == n_rows - len(entered):
-                shift = np.full(n_old, -1, dtype=np.int64)
-                shift[np.delete(np.arange(n_old), left)] = np.delete(np.arange(n_rows), entered)
-                rows = shift[self._member_ids]
-        if rows is None:
-            labels = self._subjects
-            rows = np.fromiter(
-                (rows_of.get(labels[p], -1) for p in self._member_ids.tolist()),
-                dtype=np.int64,
-                count=len(self._member_ids),
-            )
-            order = np.lexsort((rows, groups))
-            rows, groups = rows[order], groups[order]
+        labels = self._subjects
+        rows = np.fromiter(
+            (rows_of.get(labels[p], -1) for p in self._member_ids.tolist()),
+            dtype=np.int64,
+            count=len(self._member_ids),
+        )
+        order = np.lexsort((rows, groups))
+        rows, groups = rows[order], groups[order]
         kept = rows >= 0
         rows, groups = rows[kept].astype(np.int32), groups[kept]
-        row_signature = np.full(n_rows, -1, dtype=np.int32)
+        row_signature = np.full(matrix.n_subjects, -1, dtype=np.int32)
         row_signature[rows] = groups
         return rows, np.bincount(groups, minlength=n_sig).astype(np.int64, copy=False), row_signature
 
@@ -751,44 +735,16 @@ class SignatureTable:
         """
         keep = [coerce_uri(p) for p in properties]
         keep_set = set(keep)
-        ordered = tuple(p for p in self._properties if p in keep_set)
+        counts: Dict[Signature, int] = {}
+        members: Optional[Dict[Signature, List[URI]]] = {} if self.has_members else None
+        for sig, count in self.counts().items():
+            projected = frozenset(p for p in sig if p in keep_set)
+            counts[projected] = counts.get(projected, 0) + count
+            if members is not None:
+                members.setdefault(projected, []).extend(self.members_of(sig))
+        ordered_props = tuple(p for p in self._properties if p in keep_set)
         extra = tuple(p for p in keep if p not in self._properties)
-        universe = ordered + extra
-        if len(set(universe)) != len(universe):
-            raise RDFError("duplicate properties in signature table")
-        projected = np.zeros((self.n_signatures, len(universe)), dtype=bool)
-        projected[:, : len(ordered)] = self._support_bool[
-            :, [self._properties.index(p) for p in ordered]
-        ]
-        # Merge equal projections; members concatenate in table order.
-        group_of: Dict[bytes, int] = {}
-        firsts: List[int] = []
-        sizes: List[int] = []
-        parts: List[List[int]] = []
-        for g, count in enumerate(self._count_vec.tolist()):
-            key = projected[g].tobytes()
-            target = group_of.get(key)
-            if target is None:
-                target = group_of[key] = len(firsts)
-                firsts.append(g)
-                sizes.append(0)
-                parts.append([])
-            sizes[target] += count
-            parts[target].append(g)
-        member_ids = None
-        if self._member_ids is not None:
-            blocks = _blocks(self._member_ids, self._count_vec)
-            member_ids = np.concatenate([blocks[g] for part in parts for g in part] or [self._member_ids])
-        return SignatureTable._from_columns(
-            universe,
-            projected[firsts],
-            np.array(sizes, dtype=np.int64),
-            member_ids,
-            self._subjects,
-            name or self.name,
-            signatures=tuple(frozenset(p for p in self.signatures[g] if p in keep_set) for g in firsts),
-            in_order=False,
-        )
+        return SignatureTable(ordered_props + extra, counts, members=members, name=name or self.name)
 
     def merge(self, other: "SignatureTable", name: str = "") -> "SignatureTable":
         """Return the union of two signature tables (summing counts).
@@ -799,39 +755,15 @@ class SignatureTable:
         for p in other.properties:
             if p not in properties:
                 properties.append(p)
-        universe = tuple(properties)
-        group_of: Dict[Signature, int] = {}
-        signatures: List[Signature] = []
-        sizes: List[int] = []
-        parts: List[List[np.ndarray]] = []
-        member_ids = subjects = None
-        offset = 0
-        for table in (self, other):
-            starts = offset + np.concatenate(([0], np.cumsum(table._count_vec)))
-            for g, (signature, count) in enumerate(zip(table.signatures, table._count_vec.tolist())):
-                target = group_of.get(signature)
-                if target is None:
-                    target = group_of[signature] = len(signatures)
-                    signatures.append(signature)
-                    sizes.append(0)
-                    parts.append([])
-                sizes[target] += count
-                parts[target].append(np.arange(starts[g], starts[g + 1], dtype=np.int32))
-            offset += table.n_subjects
+        counts = self.counts()
+        for sig, count in other.counts().items():
+            counts[sig] = counts.get(sig, 0) + count
+        members = None
         if self.has_members and other.has_members:
-            # The merged labels: this table's members, then the other's.
-            subjects = self._decode(self._member_ids) + other._decode(other._member_ids)
-            member_ids = np.concatenate([np.zeros(0, dtype=np.int32), *(b for part in parts for b in part)])
-        return SignatureTable._from_columns(
-            universe,
-            _support_rows(universe, signatures),
-            np.array(sizes, dtype=np.int64),
-            member_ids,
-            subjects,
-            name,
-            signatures=tuple(signatures),
-            in_order=False,
-        )
+            members = {sig: list(self.members_of(sig)) for sig in self.signatures}
+            for sig in other.signatures:
+                members.setdefault(sig, []).extend(other.members_of(sig))
+        return SignatureTable(properties, counts, members=members, name=name)
 
     def scale(self, factor: float, minimum: int = 1, name: str = "") -> "SignatureTable":
         """Return a table with every signature-set size multiplied by ``factor``.

@@ -500,6 +500,29 @@ class TestResidency:
             + 4 * n_subjects + 4 * n_rows,
         }
 
+    def test_patched_table_keeps_its_mapped_support_until_a_signature_changes(self, tmp_path):
+        dataset = Dataset.load(self._snapshot(tmp_path), mmap=True)
+        # A new subject joins the largest signature: no signature is
+        # created, dropped or reordered, so the support stays the segment.
+        dataset.mutate(add=[
+            ["http://ex/dave", "http://ex/name", '"Dave"'],
+            ["http://ex/dave", "http://ex/mail", '"d@ex"'],
+        ])
+        table = dataset.table
+        assert table.count_vector().tolist() == [2, 1, 1]
+        n_support = table.n_signatures * table.n_properties
+        n_subjects, n_rows = table.n_subjects, dataset.matrix.n_subjects
+        assert dataset.residency()["table"] == {
+            "built": 1,
+            "mmap_segments": 1,
+            "mapped_bytes": n_support,
+            "resident_bytes": 8 * table.n_signatures + 4 * n_subjects + 4 * n_rows,
+        }
+        # A new signature moves the support onto the heap.
+        dataset.mutate(add=[["http://ex/bob", "http://ex/page", "http://ex/bob.html"]])
+        report = dataset.residency()["table"]
+        assert report["mmap_segments"] == 0 and report["mapped_bytes"] == 0
+
     def test_registry_describe_carries_residency(self, tmp_path):
         registry = DatasetRegistry()
         spec = DatasetSpec.from_dict(
