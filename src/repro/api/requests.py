@@ -206,7 +206,6 @@ class RefineRequest:
     step: ThetaSpec = Fraction(1, 100)
     initial_theta: Optional[ThetaSpec] = None
     max_probes: int = 200
-    use_incremental: bool = True
     witness_skip: bool = True
 
     def validated(self) -> "RefineRequest":
@@ -229,7 +228,6 @@ class LowestKRequest:
     direction: str = "auto"
     k_min: int = 1
     k_max: Optional[int] = None
-    use_incremental: bool = True
     witness_skip: bool = True
 
     def validated(self) -> "LowestKRequest":
@@ -260,7 +258,6 @@ class SweepRequest:
     k_values: Tuple[int, ...] = field(default=(2, 3, 4))
     step: ThetaSpec = Fraction(1, 100)
     max_probes: int = 200
-    use_incremental: bool = True
     witness_skip: bool = True
 
     def validated(self) -> "SweepRequest":

@@ -378,7 +378,6 @@ class StructurednessSession:
                 initial_theta=req.initial_theta,
                 solver=self.solver,
                 max_probes=req.max_probes,
-                use_incremental=req.use_incremental,
                 witness_skip=req.witness_skip,
                 encoder=self.encoder_for(req.rule),
             )
@@ -405,7 +404,6 @@ class StructurednessSession:
                 k_min=req.k_min,
                 k_max=req.k_max,
                 solver=self.solver,
-                use_incremental=req.use_incremental,
                 witness_skip=req.witness_skip,
                 encoder=self.encoder_for(req.rule),
             )
@@ -443,7 +441,6 @@ class StructurednessSession:
                     step=req.step,
                     solver=self.solver,
                     max_probes=req.max_probes,
-                    use_incremental=req.use_incremental,
                     witness_skip=req.witness_skip,
                     encoder=self.encoder_for(req.rule),
                 )

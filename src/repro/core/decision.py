@@ -5,6 +5,13 @@ an RDF graph (or its signature table), a rule ``r``, a rational threshold
 ``θ`` and a positive integer ``k``, decide whether a σ_r-sort refinement
 with threshold θ and at most ``k`` implicit sorts exists — and, when it
 does, return one.
+
+Every decision encodes through
+:meth:`~repro.core.encoder.SortRefinementEncoder.encode_incremental`, so a
+caller that passes the same encoder to consecutive decisions over one table
+(as the searches do) pays the full encoding cost once.  A solver error is
+not an answer: it raises :class:`~repro.exceptions.ILPError` rather than
+being read as "infeasible".
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from typing import Dict, Optional, Union
 
 from repro.core.encoder import EncodedInstance, SortRefinementEncoder
 from repro.core.refinement import SortRefinement
+from repro.exceptions import ILPError
 from repro.functions.structuredness import Dataset
 from repro.ilp.registry import resolve_solver
 from repro.ilp.solution import Solution, SolveStatus
@@ -66,7 +74,6 @@ def decide_sort_refinement(
     k: int,
     solver: Optional[object] = None,
     encoder: Optional[SortRefinementEncoder] = None,
-    incremental: bool = False,
 ) -> RefinementDecision:
     """Decide ``ExistsSortRefinement(r)`` on ``dataset`` for ``θ`` and ``k``.
 
@@ -86,29 +93,32 @@ def decide_sort_refinement(
         registered backend name (see :mod:`repro.ilp.registry`); defaults
         to the HiGHS backend.
     encoder:
-        A pre-built encoder (lets the θ-search reuse the case coefficients
-        across many thresholds).
-    incremental:
-        Encode through :meth:`SortRefinementEncoder.encode_incremental`,
-        which reuses the k/θ-invariant constraint blocks cached on the
-        encoder between probes against the same table.  The model is
-        identical to the from-scratch one; only the encoding cost differs.
+        A pre-built encoder (lets the searches reuse its cached case
+        coefficients and constraint blocks across many probes).  Only the
+        latest decision's ``instance.model`` per encoder and table may be
+        solved again.
+
+    Raises
+    ------
+    ILPError
+        When the solver reports an error instead of an answer.
     """
     if encoder is None:
         encoder = SortRefinementEncoder(rule)
     solver = resolve_solver(solver)
-    if incremental:
-        instance = encoder.encode_incremental(dataset, k=k, theta=theta)
-    else:
-        instance = encoder.encode(dataset, k=k, theta=theta)
+    instance = encoder.encode_incremental(dataset, k=k, theta=theta)
     solution = solver.solve(instance.model)
+    if solution.status == SolveStatus.ERROR:
+        raise ILPError(
+            f"the solver failed at k={k}, theta={instance.theta}: {solution.message}"
+        )
     if solution.is_feasible:
         refinement = instance.decode(solution)
         return RefinementDecision(True, refinement, solution, instance)
     feasible = False
     metadata: Dict[str, object] = {}
-    if solution.status not in (SolveStatus.INFEASIBLE,):
-        # Time limits or solver errors are *not* proofs of infeasibility.
+    if solution.status != SolveStatus.INFEASIBLE:
+        # A time limit is *not* a proof of infeasibility.
         metadata["inconclusive"] = True
         metadata["status"] = solution.status
     return RefinementDecision(feasible, None, solution, instance, metadata=metadata)

@@ -30,8 +30,14 @@ two engineering refinements documented in DESIGN.md):
 * rough assignments that mention the same *set* of (signature, property)
   pairs are merged into a single T variable whose coefficients are the
   summed counts — their T variables would be forced equal anyway;
-* the hash exponent is capped (default 2^20) to avoid the numerical
-  instability the paper reports for large signature counts.
+* the hash exponent is capped at 2^20 (:data:`HASH_EXPONENT_CAP`) to avoid
+  the numerical instability the paper reports for large signature counts.
+
+:meth:`SortRefinementEncoder.encode` and
+:meth:`~SortRefinementEncoder.encode_incremental` share one assembly path;
+they differ only in whether the per-sort blocks come from a fresh or a
+cached sweep state.  ``tests/test_encoder_oracle.py`` checks the emitted
+rows against an enumeration of every signature partition.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.caching import IdentityWeakCache
 from repro.exceptions import RefinementError
@@ -59,6 +65,11 @@ __all__ = ["EncodedInstance", "SortRefinementEncoder", "to_fraction"]
 #: When equivalent cases are grouped the key is the sorted tuple of *distinct*
 #: pairs; otherwise it is the per-variable tuple of pairs in variable order.
 CaseKey = Tuple[Tuple[Signature, URI], ...]
+
+#: Largest exponent of the Section 6.3 hash weights ``2^j``: later
+#: signatures share the weight, which keeps the coefficients exact in the
+#: double precision a MILP solver works in.
+HASH_EXPONENT_CAP = 20
 
 
 def _pair_sort_key(pair: Tuple[Signature, URI]) -> Tuple[Tuple[str, ...], str]:
@@ -171,9 +182,6 @@ class SortRefinementEncoder:
           first implicit sort.  Removes a factor ``k`` of the symmetry with
           a single tiny constraint and never hurts.
         * ``"none"`` (or ``False``) — no symmetry breaking.
-    hash_exponent_cap:
-        Largest exponent used in the hash (larger signatures collide); keeps
-        coefficients small enough for double-precision solvers.
     group_equivalent_cases:
         Merge rough assignments using the same set of (signature, property)
         pairs into one T variable (exact reformulation, fewer variables).
@@ -183,9 +191,7 @@ class SortRefinementEncoder:
         self,
         rule: Rule,
         symmetry_breaking: Union[str, bool] = "anchor",
-        hash_exponent_cap: int = 20,
         group_equivalent_cases: bool = True,
-        exact_threshold_coefficients: bool = False,
     ):
         self.rule = rule
         if symmetry_breaking is True:
@@ -197,9 +203,7 @@ class SortRefinementEncoder:
                 f"symmetry_breaking must be 'hash', 'anchor' or 'none', got {symmetry_breaking!r}"
             )
         self.symmetry_breaking = symmetry_breaking
-        self.hash_exponent_cap = hash_exponent_cap
         self.group_equivalent_cases = group_equivalent_cases
-        self.exact_threshold_coefficients = exact_threshold_coefficients
         self._case_cache: IdentityWeakCache = IdentityWeakCache()
         self._sweep_cache: IdentityWeakCache = IdentityWeakCache()
 
@@ -238,137 +242,14 @@ class SortRefinementEncoder:
         k: int,
         theta: Union[float, Fraction, str],
     ) -> EncodedInstance:
-        """Encode ``ExistsSortRefinement(r)`` for the dataset, ``k`` and ``θ``."""
-        if k < 1:
-            raise RefinementError("the number of implicit sorts k must be at least 1")
-        table = as_signature_table(dataset)
-        theta_fraction = to_fraction(theta)
-        started = time.perf_counter()
-        cases = self.compute_cases(table)
+        """Encode ``ExistsSortRefinement(r)`` for the dataset, ``k`` and ``θ``.
 
-        model = Model(name=f"sort-refinement[{self.rule.name or 'rule'}, k={k}, theta={theta_fraction}]")
-        signatures = table.signatures
-        properties = table.properties
-        # Iterate supports in property-universe order (not frozenset order),
-        # so the emitted model is identical across hash seeds and the solver
-        # breaks ties the same way on every run.
-        supports: Dict[Signature, Tuple[URI, ...]] = {
-            sig: tuple(p for p in properties if p in sig) for sig in signatures
-        }
-        property_to_signatures: Dict[URI, List[Signature]] = {
-            p: [sig for sig in signatures if p in sig] for p in properties
-        }
+        The model is assembled from a fresh sweep state that nothing else
+        holds, so the instance stays valid however many others are encoded
+        after it (unlike :meth:`encode_incremental`'s).
+        """
+        return self._encode(dataset, k, theta, cached=False)
 
-        x_vars: Dict[Tuple[int, Signature], Variable] = {}
-        u_vars: Dict[Tuple[int, URI], Variable] = {}
-        t_vars: Dict[Tuple[int, CaseKey], Variable] = {}
-
-        for i in range(k):
-            for s_index, sig in enumerate(signatures):
-                x_vars[(i, sig)] = model.add_binary(f"X[{i},{s_index}]")
-            for p in properties:
-                u_vars[(i, p)] = model.add_binary(f"U[{i},{p.local_name}]")
-            for c_index, key in enumerate(cases):
-                t_vars[(i, key)] = model.add_binary(f"T[{i},{c_index}]")
-
-        # (1) every signature lands in exactly one implicit sort
-        for sig in signatures:
-            expr = LinExpr.sum(x_vars[(i, sig)] for i in range(k))
-            model.add_constraint(
-                Constraint(expr, lower=1.0, upper=1.0), name=f"assign[{signature_key(sig)[:1]}]"
-            )
-
-        # (2) U_{i,p} tracks whether sort i uses property p
-        for i in range(k):
-            for sig in signatures:
-                for p in supports[sig]:
-                    model.add_constraint(x_vars[(i, sig)] <= u_vars[(i, p)])
-            for p in properties:
-                providers = property_to_signatures[p]
-                if providers:
-                    total = LinExpr.sum(x_vars[(i, sig)] for sig in providers)
-                    model.add_constraint(u_vars[(i, p)] <= total)
-                else:
-                    model.add_constraint(u_vars[(i, p)] <= 0)
-
-        # (3) T_{i,τ} is the AND of the X/U literals the case mentions
-        for i in range(k):
-            for key in cases:
-                literals: List[Variable] = []
-                for sig, prop in key:
-                    literals.append(x_vars[(i, sig)])
-                    literals.append(u_vars[(i, prop)])
-                # Deduplicate literals: a case may reuse a signature or property.
-                unique_literals = list(dict.fromkeys(literals))
-                count = len(unique_literals)
-                t_var = t_vars[(i, key)]
-                literal_sum = LinExpr.sum(unique_literals)
-                model.add_constraint(literal_sum <= t_var + (count - 1))
-                model.add_constraint(count * t_var <= literal_sum)
-
-        # (4) the threshold constraint per implicit sort.
-        #
-        # The paper's form uses the integer coefficients θ2·fav − θ1·total.
-        # For thresholds with large denominators (e.g. the *exact* σ_r(D) of
-        # a big dataset used as the starting point of the θ-search) those
-        # integers overflow the double precision a MILP solver works in, so
-        # by default the constraint is written with the equivalent float
-        # coefficients fav − θ·total, whose magnitude stays bounded by the
-        # largest count.  Set ``exact_threshold_coefficients=True`` to use
-        # the literal integer form (fine for small instances / exact tests).
-        theta1, theta2 = theta_fraction.numerator, theta_fraction.denominator
-        theta_float = float(theta_fraction)
-        for i in range(k):
-            expr = LinExpr()
-            for key, (total, favourable) in cases.items():
-                if self.exact_threshold_coefficients:
-                    coefficient: float = theta2 * favourable - theta1 * total
-                else:
-                    coefficient = favourable - theta_float * total
-                if coefficient != 0:
-                    expr = expr + coefficient * t_vars[(i, key)]
-            model.add_constraint(expr >= 0, name=f"threshold[{i}]")
-
-        # (5) symmetry breaking between the k implicit sorts.
-        if self.symmetry_breaking == "hash" and k > 1:
-            # The paper's Section 6.3 form: hash(i) <= hash(i+1).
-            hash_expressions = []
-            for i in range(k):
-                expr = LinExpr()
-                for j, sig in enumerate(signatures):
-                    weight = 2 ** min(j, self.hash_exponent_cap)
-                    expr = expr + weight * x_vars[(i, sig)]
-                hash_expressions.append(expr)
-            for i in range(k - 1):
-                model.add_constraint(hash_expressions[i] <= hash_expressions[i + 1])
-        elif self.symmetry_breaking == "anchor" and k > 1 and signatures:
-            # Pin the largest signature set (the first, tables are sorted by
-            # size) to the first implicit sort.
-            anchor = x_vars[(0, signatures[0])]
-            model.add_constraint(Constraint(LinExpr({anchor: 1.0}), lower=1, upper=1))
-
-        encode_time = time.perf_counter() - started
-        current_telemetry().observe("encoder.encode", encode_time)
-        return EncodedInstance(
-            model=model,
-            table=table,
-            rule=self.rule,
-            k=k,
-            theta=theta_fraction,
-            x_vars=x_vars,
-            u_vars=u_vars,
-            t_vars=t_vars,
-            case_counts=cases,
-            encode_time=encode_time,
-            metadata={
-                "symmetry_breaking": self.symmetry_breaking,
-                "group_equivalent_cases": self.group_equivalent_cases,
-            },
-        )
-
-    # ------------------------------------------------------------------ #
-    # Incremental encoding (the k-sweep / θ-sweep fast path)
-    # ------------------------------------------------------------------ #
     def encode_incremental(
         self,
         dataset: Dataset,
@@ -377,10 +258,9 @@ class SortRefinementEncoder:
     ) -> EncodedInstance:
         """Encode ``ExistsSortRefinement(r)`` by mutating a cached sweep state.
 
-        Produces a model **identical** to :meth:`encode` (same variables in
-        the same order, same constraints with the same coefficients), but
-        instead of rebuilding everything it keeps one
-        :class:`_SweepState` per signature table and mutates it between
+        Produces the same model as :meth:`encode` (same variables in the
+        same order, same constraints with the same coefficients), but keeps
+        one :class:`_SweepState` per signature table and mutates it between
         probes: each implicit sort's variable block and its k/θ-invariant
         constraints (the U-link and T-AND families — the bulk of the model)
         are built once and re-attached; moving from ``k`` to ``k ± 1``
@@ -394,20 +274,26 @@ class SortRefinementEncoder:
         a solver (earlier instances' variable indexes are re-pointed).  The
         search strategies solve strictly sequentially, so this is safe; use
         :meth:`encode` when several live instances are needed at once.
-
-        :meth:`encode` deliberately does *not* share the emission code with
-        this path: it is an independently written reference implementation,
-        which is what makes the bit-identity assertion in
-        ``tests/test_incremental_search.py`` a meaningful cross-check
-        rather than a tautology.  A change to the encoding must be made in
-        both places (the identity test fails loudly if one is missed).
         """
+        return self._encode(dataset, k, theta, cached=True)
+
+    def _encode(
+        self,
+        dataset: Dataset,
+        k: int,
+        theta: Union[float, Fraction, str],
+        cached: bool,
+    ) -> EncodedInstance:
+        """Assemble the model for ``k`` and ``θ`` from the cached or a fresh sweep state."""
         if k < 1:
             raise RefinementError("the number of implicit sorts k must be at least 1")
         table = as_signature_table(dataset)
         theta_fraction = to_fraction(theta)
         started = time.perf_counter()
-        state = self._sweep_state(table)
+        if cached:
+            state = self._sweep_state(table)
+        else:
+            state = _SweepState(table, self.compute_cases(table))
         while len(state.blocks) < k:
             state.blocks.append(self._build_block(state, len(state.blocks)))
 
@@ -452,9 +338,10 @@ class SortRefinementEncoder:
                 for i in range(k):
                     block = state.blocks[i]
                     if block.hash_expr is None:
+                        # The paper's Section 6.3 form: hash(i) <= hash(i+1).
                         expr = LinExpr()
                         for j, sig in enumerate(state.signatures):
-                            weight = 2 ** min(j, self.hash_exponent_cap)
+                            weight = 2 ** min(j, HASH_EXPONENT_CAP)
                             expr = expr + weight * block.x[sig]
                         block.hash_expr = expr
                 constraints = [
@@ -464,6 +351,8 @@ class SortRefinementEncoder:
                 state.hash_cache[k] = constraints
             model.constraints.extend(constraints)
         elif self.symmetry_breaking == "anchor" and k > 1 and state.signatures:
+            # Pin the largest signature set (the first, tables are sorted by
+            # size) to the first implicit sort.
             if state.anchor is None:
                 anchor = state.blocks[0].x[state.signatures[0]]
                 state.anchor = Constraint(LinExpr({anchor: 1.0}), lower=1, upper=1)
@@ -479,7 +368,9 @@ class SortRefinementEncoder:
             (i, key): state.blocks[i].t[key] for i in range(k) for key in state.cases
         }
         encode_time = time.perf_counter() - started
-        current_telemetry().observe("encoder.encode_incremental", encode_time)
+        current_telemetry().observe(
+            "encoder.encode_incremental" if cached else "encoder.encode", encode_time
+        )
         return EncodedInstance(
             model=model,
             table=table,
@@ -494,7 +385,6 @@ class SortRefinementEncoder:
             metadata={
                 "symmetry_breaking": self.symmetry_breaking,
                 "group_equivalent_cases": self.group_equivalent_cases,
-                "incremental": True,
             },
         )
 
@@ -545,6 +435,7 @@ class SortRefinementEncoder:
             for sig, prop in key:
                 literals.append(block.x[sig])
                 literals.append(block.u[prop])
+            # Deduplicate literals: a case may reuse a signature or property.
             unique_literals = list(dict.fromkeys(literals))
             count = len(unique_literals)
             t_var = block.t[key]
@@ -561,14 +452,16 @@ class SortRefinementEncoder:
         cached = block.threshold_cache.get(theta_fraction)
         if cached is not None:
             return cached
-        theta1, theta2 = theta_fraction.numerator, theta_fraction.denominator
+        # The paper's form uses the integer coefficients θ2·fav − θ1·total.
+        # For thresholds with large denominators (e.g. the *exact* σ_r(D) of
+        # a big dataset used as the starting point of the θ-search) those
+        # integers overflow the double precision a MILP solver works in, so
+        # the row is written with the equivalent float coefficients
+        # fav − θ·total, whose magnitude stays bounded by the largest count.
         theta_float = float(theta_fraction)
         coefficients: Dict[Variable, float] = {}
         for key, (total, favourable) in state.cases.items():
-            if self.exact_threshold_coefficients:
-                coefficient: float = theta2 * favourable - theta1 * total
-            else:
-                coefficient = favourable - theta_float * total
+            coefficient = favourable - theta_float * total
             if coefficient != 0:
                 coefficients[block.t[key]] = 1.0 * coefficient
         constraint = Constraint(LinExpr(coefficients), lower=0.0, name=f"threshold[{i}]")
@@ -602,7 +495,12 @@ class _SortBlock:
 
 
 class _SweepState:
-    """Everything :meth:`SortRefinementEncoder.encode_incremental` reuses between probes."""
+    """The per-sort blocks and row caches a model is assembled from.
+
+    :meth:`SortRefinementEncoder.encode_incremental` keeps one per table and
+    reuses it between probes; :meth:`SortRefinementEncoder.encode` builds a
+    fresh one per call.
+    """
 
     # NOTE: no reference to the table itself — the sweep cache is weakly
     # keyed by the table, and a strong back-reference from the value would
@@ -623,8 +521,9 @@ class _SweepState:
         self.cases = cases
         self.signatures: Tuple[Signature, ...] = table.signatures
         self.properties: Tuple[URI, ...] = table.properties
-        # Property-universe iteration order keeps the emitted constraints
-        # independent of the hash seed (see SortRefinementEncoder.encode).
+        # Iterate supports in property-universe order (not frozenset order),
+        # so the emitted model is identical across hash seeds and the solver
+        # breaks ties the same way on every run.
         self.supports: Dict[Signature, Tuple[URI, ...]] = {
             sig: tuple(p for p in self.properties if p in sig) for sig in self.signatures
         }

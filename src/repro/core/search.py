@@ -17,9 +17,7 @@ Both searches are *incremental* (see DESIGN.md, "Incremental sweeps"):
 
 * consecutive probes share one mutable encoder state, so moving between
   ``k`` or θ values re-encodes only the sort blocks / threshold rows that
-  actually changed (``use_incremental=False`` falls back to from-scratch
-  encoding; the assembled models are bit-identical either way, so the two
-  paths return identical results and serve as a cross-check);
+  actually changed (the model equals a fresh encoding's, bit for bit);
 * a probe whose feasibility is already *certified* by the best witness
   found so far — the previous solution's exact per-sort σ values cover the
   new threshold, or its non-empty sort count is within the new ``k`` — is
@@ -31,6 +29,10 @@ Both searches are *incremental* (see DESIGN.md, "Incremental sweeps"):
   certifying witness — a valid refinement that may differ from the one the
   solver would have decoded; pass ``witness_skip=False`` to reproduce the
   solver's partitions probe for probe.
+
+A probe whose solver reports an error raises
+:class:`~repro.exceptions.ILPError` naming its ``k`` and θ; only a time
+limit ends a search early without an answer.
 """
 
 from __future__ import annotations
@@ -186,7 +188,6 @@ def highest_theta_refinement(
     solver_time_limit: Optional[float] = None,
     max_probes: int = 200,
     callback: Optional[Callable[[SearchStep], None]] = None,
-    use_incremental: bool = True,
     witness_skip: bool = True,
     encoder: Optional[SortRefinementEncoder] = None,
 ) -> SearchResult:
@@ -216,10 +217,6 @@ def highest_theta_refinement(
     callback:
         Called with every :class:`SearchStep` as it happens (progress bars,
         logging).
-    use_incremental:
-        Reuse the encoder's cached constraint blocks between probes
-        (``False`` re-encodes every probe from scratch; same models, same
-        results, slower).
     witness_skip:
         Skip solver calls for grid thresholds that the last witness's exact
         per-sort σ values already certify as feasible.
@@ -266,8 +263,7 @@ def highest_theta_refinement(
             best, best_theta = witness, theta
         else:
             decision = decide_sort_refinement(
-                table, rule, theta, k, solver=solver,
-                encoder=encoder, incremental=use_incremental,
+                table, rule, theta, k, solver=solver, encoder=encoder
             )
             search_step = SearchStep(
                 theta=float(theta),
@@ -321,7 +317,6 @@ def lowest_k_refinement(
     solver: Optional[object] = None,
     solver_time_limit: Optional[float] = None,
     callback: Optional[Callable[[SearchStep], None]] = None,
-    use_incremental: bool = True,
     witness_skip: bool = True,
     encoder: Optional[SortRefinementEncoder] = None,
 ) -> SearchResult:
@@ -340,10 +335,6 @@ def lowest_k_refinement(
         upper bound on k, then searches downward from that bound — this way
         only the final probe is infeasible (infeasible MILP instances are by
         far the slowest ones, as the paper also observes).
-    use_incremental:
-        Reuse the encoder's cached constraint blocks between probes; the
-        downward sweep then only adds/removes one sort's variable block per
-        step.  ``False`` re-encodes from scratch (identical results).
     witness_skip:
         Answer probes whose feasibility is certified exactly by an earlier
         refinement without calling the solver: a witness with ``j ≤ k``
@@ -394,8 +385,7 @@ def lowest_k_refinement(
 
     def probe(k: int) -> RefinementDecision:
         decision = decide_sort_refinement(
-            table, rule, theta_fraction, k, solver=solver,
-            encoder=encoder, incremental=use_incremental,
+            table, rule, theta_fraction, k, solver=solver, encoder=encoder
         )
         record(
             SearchStep(

@@ -14,7 +14,7 @@ from repro.ilp.registry import (
     solver_names,
     unregister_solver,
 )
-from repro.ilp.scipy_backend import ScipyMilpSolver, solve_with_scipy
+from repro.ilp.scipy_backend import ScipyMilpSolver
 from repro.ilp.solution import Solution, SolveStatus
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "Solution",
     "SolveStatus",
     "ScipyMilpSolver",
-    "solve_with_scipy",
     "BranchAndBoundSolver",
     "DEFAULT_SOLVER",
     "register_solver",

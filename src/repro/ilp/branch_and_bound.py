@@ -4,24 +4,23 @@ This backend exists for three reasons:
 
 * it removes the hard dependency of the *core algorithm* on any particular
   external solver (the paper's contribution is the encoding, not CPLEX);
-* it is a readable reference implementation against which the HiGHS
-  backend can be cross-checked on small instances;
+* it is the reference solver against which the HiGHS backend is
+  cross-checked on small instances: HiGHS's presolve answers "infeasible"
+  on some feasible sort-refinement models, and this backend does not
+  (``tests/test_highs_regressions.py``);
 * it powers the backend ablation benchmark in ``benchmarks/``.
 
 It solves LP relaxations with ``scipy.optimize.linprog`` (HiGHS LP) and
-branches on the most fractional integer variable.  Nodes store only the
-*bound overrides* accumulated along their branch (a small dict shared
-copy-on-branch), never a full copy of all variable bounds, and the search
-can run depth-first (default, lowest memory) or best-first (pop the node
-with the smallest parent LP bound, which tends to prove optimality with
-fewer nodes on optimisation instances).  It is only intended for small
-models (tens to a few hundred integer variables); the default backend for
-real refinement runs is :class:`repro.ilp.scipy_backend.ScipyMilpSolver`.
+branches depth-first on the most fractional integer variable.  Nodes store
+only the *bound overrides* accumulated along their branch (a small dict
+shared copy-on-branch), never a full copy of all variable bounds.  It is
+only intended for small models (tens to a few hundred integer variables);
+the default backend for real refinement runs is
+:class:`repro.ilp.scipy_backend.ScipyMilpSolver`.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from typing import Dict, List, Optional, Tuple
@@ -29,8 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.exceptions import ILPError
-from repro.ilp.model import MAXIMIZE, Model
+from repro.ilp.model import Model
 from repro.ilp.solution import Solution, SolveStatus
 
 __all__ = ["BranchAndBoundSolver"]
@@ -51,27 +49,13 @@ class BranchAndBoundSolver:
         returned with status ``feasible``/``time_limit`` when exceeded).
     max_nodes:
         Hard cap on the number of explored nodes.
-    node_order:
-        ``"dfs"`` (default) explores depth-first — constant memory per
-        branch, finds incumbents quickly.  ``"best"`` explores the open
-        node with the smallest parent LP relaxation value first, which
-        usually closes the optimality gap in fewer nodes when a meaningful
-        objective is present.
     """
 
     name = "branch-and-bound"
 
-    def __init__(
-        self,
-        time_limit: Optional[float] = None,
-        max_nodes: int = 200_000,
-        node_order: str = "dfs",
-    ):
-        if node_order not in ("dfs", "best"):
-            raise ILPError(f"node_order must be 'dfs' or 'best', got {node_order!r}")
+    def __init__(self, time_limit: Optional[float] = None, max_nodes: int = 200_000):
         self.time_limit = time_limit
         self.max_nodes = max_nodes
-        self.node_order = node_order
 
     def solve(self, model: Model) -> Solution:
         """Solve ``model`` exactly (within the node/time limits)."""
@@ -112,30 +96,19 @@ class BranchAndBoundSolver:
         nodes_explored = 0
         hit_limit = False
 
-        # A node is (parent LP bound, tie-break, overrides).  The root has
-        # no overrides; children share the parent dict copy-on-branch, so
+        # A node is (parent LP bound, overrides).  The root has no
+        # overrides; children share the parent dict copy-on-branch, so
         # memory per node is O(depth) decisions, not O(n) bounds.
-        root = (-math.inf, 0, {})
-        if self.node_order == "best":
-            heap: List[Tuple[float, int, _Overrides]] = [root]
-            pop = lambda: heapq.heappop(heap)
-            push = lambda node: heapq.heappush(heap, node)
-            pending = heap
-        else:
-            stack: List[Tuple[float, int, _Overrides]] = [root]
-            pop = stack.pop
-            push = stack.append
-            pending = stack
-        tiebreak = 0
+        stack: List[Tuple[float, _Overrides]] = [(-math.inf, {})]
 
-        while pending:
+        while stack:
             if nodes_explored >= self.max_nodes:
                 hit_limit = True
                 break
             if self.time_limit is not None and time.perf_counter() - started > self.time_limit:
                 hit_limit = True
                 break
-            parent_bound, _, overrides = pop()
+            parent_bound, overrides = stack.pop()
             if parent_bound >= best_value - 1e-9:
                 continue  # bound became stale after the incumbent improved
             nodes_explored += 1
@@ -164,15 +137,13 @@ class BranchAndBoundSolver:
             ceil_value = math.ceil(value)
             bound = float(relaxation.fun)
             if node_lower <= floor_value:
-                tiebreak += 1
                 floor_overrides = dict(overrides)
                 floor_overrides[index] = (node_lower, float(floor_value))
-                push((bound, tiebreak, floor_overrides))
+                stack.append((bound, floor_overrides))
             if ceil_value <= node_upper:
-                tiebreak += 1
                 ceil_overrides = dict(overrides)
                 ceil_overrides[index] = (float(ceil_value), node_upper)
-                push((bound, tiebreak, ceil_overrides))
+                stack.append((bound, ceil_overrides))
 
         elapsed = time.perf_counter() - started
         if best_solution is None:

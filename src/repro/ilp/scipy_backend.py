@@ -8,16 +8,16 @@ rationale.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Optional
 
-import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.exceptions import ILPError
 from repro.ilp.model import Model
 from repro.ilp.solution import Solution, SolveStatus
 
-__all__ = ["ScipyMilpSolver", "solve_with_scipy"]
+__all__ = ["ScipyMilpSolver"]
 
 
 class ScipyMilpSolver:
@@ -26,24 +26,19 @@ class ScipyMilpSolver:
     Parameters
     ----------
     time_limit:
-        Optional wall-clock limit in seconds passed to HiGHS.
-    mip_rel_gap:
-        Relative optimality gap; 0 (the default) asks for proven optimality.
-    verbose:
-        Print HiGHS output (useful when debugging big encodings).
+        Optional wall-clock limit in seconds passed to HiGHS (per solve
+        call).
+
+    HiGHS asks for proven optimality (a relative gap of 0).  When it ends
+    in its "Solve error" status, the model is solved once more with
+    presolve off (the errors seen so far came from presolve); a second
+    error is returned as :data:`SolveStatus.ERROR`, never as an answer.
     """
 
     name = "scipy-highs"
 
-    def __init__(
-        self,
-        time_limit: Optional[float] = None,
-        mip_rel_gap: float = 0.0,
-        verbose: bool = False,
-    ):
+    def __init__(self, time_limit: Optional[float] = None):
         self.time_limit = time_limit
-        self.mip_rel_gap = mip_rel_gap
-        self.verbose = verbose
 
     def solve(self, model: Model) -> Solution:
         """Solve ``model`` and return a :class:`Solution`."""
@@ -55,18 +50,21 @@ class ScipyMilpSolver:
         if model.n_constraints > 0:
             constraints.append(LinearConstraint(arrays["A"], arrays["cl"], arrays["cu"]))
         bounds = Bounds(arrays["xl"], arrays["xu"])
-        options = {"disp": self.verbose, "mip_rel_gap": self.mip_rel_gap}
+        options = {"mip_rel_gap": 0.0}
         if self.time_limit is not None:
             options["time_limit"] = float(self.time_limit)
+        solve = partial(
+            milp,
+            c=arrays["c"],
+            constraints=constraints,
+            integrality=arrays["integrality"],
+            bounds=bounds,
+        )
         started = time.perf_counter()
         try:
-            result = milp(
-                c=arrays["c"],
-                constraints=constraints,
-                integrality=arrays["integrality"],
-                bounds=bounds,
-                options=options,
-            )
+            result = solve(options=options)
+            if int(getattr(result, "status", _HIGHS_ERROR)) == _HIGHS_ERROR:
+                result = solve(options=dict(options, presolve=False))
         except Exception as error:  # pragma: no cover - defensive
             raise ILPError(f"scipy.optimize.milp failed: {error}") from error
         elapsed = time.perf_counter() - started
@@ -87,11 +85,15 @@ class ScipyMilpSolver:
         )
 
 
+#: ``scipy.optimize.milp``'s status for everything that is not an answer.
+_HIGHS_ERROR = 4
+
+
 def _translate_status(result) -> str:
     """Map the SciPy/HiGHS status codes onto :class:`SolveStatus`."""
     # scipy.optimize.milp: status 0 = optimal, 1 = iteration/time limit,
     # 2 = infeasible, 3 = unbounded, 4 = other.
-    status_code = int(getattr(result, "status", 4))
+    status_code = int(getattr(result, "status", _HIGHS_ERROR))
     if status_code == 0:
         return SolveStatus.OPTIMAL
     if status_code == 1:
@@ -102,7 +104,3 @@ def _translate_status(result) -> str:
         return SolveStatus.UNBOUNDED
     return SolveStatus.ERROR
 
-
-def solve_with_scipy(model: Model, **kwargs) -> Solution:
-    """Convenience wrapper: build a :class:`ScipyMilpSolver` and solve ``model``."""
-    return ScipyMilpSolver(**kwargs).solve(model)

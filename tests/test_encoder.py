@@ -1,8 +1,9 @@
 """Tests for the ILP encoding of ExistsSortRefinement (Section 6).
 
-The key correctness test compares the ILP answer against a brute-force
-enumeration of all signature partitions on small instances, for several
-rules and thresholds.
+These tests solve the encoding of one fixed table and compare the answer
+against a brute-force enumeration of all signature partitions, for several
+rules and thresholds.  ``tests/test_encoder_oracle.py`` checks the emitted
+rows themselves against the enumeration, without a solver, on random tables.
 """
 
 from __future__ import annotations
@@ -170,16 +171,6 @@ class TestAgainstBruteForce:
         instance = encoder.encode(small_table, k=2, theta=theta)
         ilp_answer = ScipyMilpSolver().solve(instance.model).is_feasible
         assert ilp_answer == brute_force_exists(small_table, function, theta, 2)
-
-    def test_exact_threshold_coefficients_agree_with_float_form(self, small_table):
-        for theta in (0.6, 0.75):
-            exact = SortRefinementEncoder(coverage(), exact_threshold_coefficients=True).encode(
-                small_table, k=2, theta=theta
-            )
-            floating = SortRefinementEncoder(coverage()).encode(small_table, k=2, theta=theta)
-            exact_answer = ScipyMilpSolver().solve(exact.model).is_feasible
-            float_answer = ScipyMilpSolver().solve(floating.model).is_feasible
-            assert exact_answer == float_answer
 
     def test_branch_and_bound_backend_agrees_with_highs(self, small_table):
         encoder = SortRefinementEncoder(coverage())

@@ -11,7 +11,7 @@ import pytest
 from repro.exceptions import InfeasibleError
 from repro.ilp.branch_and_bound import BranchAndBoundSolver
 from repro.ilp.model import MAXIMIZE, Constraint, LinExpr, Model
-from repro.ilp.scipy_backend import ScipyMilpSolver, solve_with_scipy
+from repro.ilp.scipy_backend import ScipyMilpSolver
 from repro.ilp.solution import Solution, SolveStatus
 
 BACKENDS = [ScipyMilpSolver, BranchAndBoundSolver]
@@ -88,7 +88,7 @@ class TestBackends:
 class TestSolutionObject:
     def test_value_accessors(self):
         model, _ = knapsack_model()
-        solution = solve_with_scipy(model)
+        solution = ScipyMilpSolver().solve(model)
         variable = model.variables[0]
         assert solution.value(variable) in (0.0, 1.0)
         assert solution.int_value(variable) in (0, 1)
@@ -98,7 +98,7 @@ class TestSolutionObject:
 
     def test_restricted_to(self):
         model, _ = knapsack_model()
-        solution = solve_with_scipy(model)
+        solution = ScipyMilpSolver().solve(model)
         named = solution.restricted_to({"first": model.variables[0]})
         assert set(named) == {"first"}
 

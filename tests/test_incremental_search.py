@@ -1,10 +1,10 @@
-"""Cross-checks for the incremental k-sweep / θ-sweep solver path.
+"""Cross-checks for the cached k-sweep / θ-sweep encoder state.
 
-The incremental encoder must emit models *bit-identical* to the
-from-scratch encoder, and the searches must return identical results (same
-k, same θ, same refinement partitions) whether they encode incrementally
-or from scratch — the from-scratch path is kept exactly as this
-cross-check.
+A model assembled from an encoder's cached sweep state must be
+*bit-identical* to one assembled from a fresh state, however the cache got
+there, and a search must return identical results (same k, same θ, same
+refinement partitions, same probe trace) whether its encoder is fresh or was
+warmed by an earlier (k, θ) walk over the same table.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 from repro.api import Dataset
 from repro.core.encoder import SortRefinementEncoder
 from repro.core.search import highest_theta_refinement, lowest_k_refinement
-from repro.ilp.branch_and_bound import BranchAndBoundSolver
 from repro.ilp.model import Model
 from repro.rdf.graph import RDFGraph
 from repro.rdf.namespaces import EX
@@ -49,10 +48,9 @@ class TestIncrementalEncoding:
                 (2, Fraction(7, 10)),
                 (3, Fraction(4, 5)),
             ]:
-                scratch = encoder.encode(toy_persons_table, k, theta)
-                incremental = encoder.encode_incremental(toy_persons_table, k, theta)
-                assert models_identical(scratch.model, incremental.model)
-                assert incremental.metadata["incremental"] is True
+                fresh = encoder.encode(toy_persons_table, k, theta)
+                cached = encoder.encode_incremental(toy_persons_table, k, theta)
+                assert models_identical(fresh.model, cached.model)
 
     def test_sweep_state_reuses_blocks_between_probes(self, toy_persons_table):
         encoder = SortRefinementEncoder(coverage())
@@ -77,20 +75,21 @@ def assignment_groups(refinement):
 
 
 class TestSearchEquivalence:
-    """Incremental and from-scratch searches agree on every existing scenario."""
+    """A fresh encoder and one warmed by another (k, θ) walk agree on every scenario."""
 
-    def run_both(self, search, *args, **kwargs):
-        incremental = search(*args, use_incremental=True, **kwargs)
-        scratch = search(*args, use_incremental=False, **kwargs)
-        assert incremental.k == scratch.k
-        assert incremental.theta == pytest.approx(scratch.theta)
-        assert assignment_groups(incremental.refinement) == assignment_groups(
-            scratch.refinement
-        )
-        assert [(s.theta, s.k, s.feasible) for s in incremental.steps] == [
-            (s.theta, s.k, s.feasible) for s in scratch.steps
+    def run_both(self, search, table, rule, *args, **kwargs):
+        fresh = search(table, rule, *args, encoder=SortRefinementEncoder(rule), **kwargs)
+        warmed_encoder = SortRefinementEncoder(rule)
+        for k, theta in [(4, Fraction(9, 10)), (1, Fraction(1, 3)), (3, Fraction(3, 5))]:
+            warmed_encoder.encode_incremental(table, k, theta)
+        warmed = search(table, rule, *args, encoder=warmed_encoder, **kwargs)
+        assert warmed.k == fresh.k
+        assert warmed.theta == fresh.theta
+        assert assignment_groups(warmed.refinement) == assignment_groups(fresh.refinement)
+        assert [(s.theta, s.k, s.feasible, s.status) for s in warmed.steps] == [
+            (s.theta, s.k, s.feasible, s.status) for s in fresh.steps
         ]
-        return incremental
+        return fresh
 
     def test_highest_theta_cov(self, toy_persons_table):
         self.run_both(
@@ -231,27 +230,3 @@ class TestMutationMetamorphic:
         second = session.lowest_k("Cov", theta="1/2")
         assert second.cached  # the post-mutation cache is live again
 
-
-class TestBranchAndBoundNodeOrdering:
-    def build_model(self) -> Model:
-        model = Model(name="knapsack")
-        weights = [3, 5, 7, 4, 6]
-        values = [4, 6, 9, 5, 7]
-        items = [model.add_binary(f"x{i}") for i in range(5)]
-        total_weight = sum(w * x for w, x in zip(weights, items))
-        model.add_constraint(total_weight <= 12)
-        objective = sum(v * x for v, x in zip(values, items))
-        model.set_objective(objective, sense="maximize")
-        return model
-
-    def test_best_first_agrees_with_depth_first(self):
-        dfs = BranchAndBoundSolver(node_order="dfs").solve(self.build_model())
-        best = BranchAndBoundSolver(node_order="best").solve(self.build_model())
-        assert dfs.is_feasible and best.is_feasible
-        assert dfs.objective == pytest.approx(best.objective)
-
-    def test_unknown_node_order_rejected(self):
-        from repro.exceptions import ILPError
-
-        with pytest.raises(ILPError):
-            BranchAndBoundSolver(node_order="breadth")

@@ -249,6 +249,13 @@ class TestErrorMapping:
              "unknown refine request fields: jobs"),
             ("/v1/evaluate", {"dataset": {"builtin": "nope"}}, "unknown built-in"),
             ("/v1/evaluate", {"dataset": "dbpedia-persons", "rule": "Nope"}, "unknown rule"),
+            # Every search encodes through the cached sweep state; the switch is gone.
+            ("/v1/refine", {"dataset": "dbpedia-persons", "k": 2, "use_incremental": True},
+             "unknown refine request fields: use_incremental"),
+            ("/v1/lowest_k", {"dataset": "dbpedia-persons", "use_incremental": True},
+             "unknown lowest_k request fields: use_incremental"),
+            ("/v1/sweep", {"dataset": "dbpedia-persons", "use_incremental": True},
+             "unknown sweep request fields: use_incremental"),
         ],
     )
     def test_bad_requests_are_400_with_structured_bodies(self, server, path, body, fragment):
